@@ -2,6 +2,7 @@ package canary
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -142,6 +143,113 @@ func TestPropertyVerifyIffUncorrupted(t *testing.T) {
 	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The byte-at-a-time definitions of the canary operations: the reference
+// the word-wise implementations must match exactly.
+
+func refFill(c Canary, buf []byte) {
+	for i := range buf {
+		buf[i] = c.Byte(i)
+	}
+}
+
+func refVerify(c Canary, buf []byte) bool {
+	for i, b := range buf {
+		if b != c.Byte(i) {
+			return false
+		}
+	}
+	return true
+}
+
+func refCorruptRanges(c Canary, buf []byte) []Range {
+	var out []Range
+	i := 0
+	for i < len(buf) {
+		if buf[i] == c.Byte(i) {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(buf) && buf[j] != c.Byte(j) {
+			j++
+		}
+		out = append(out, Range{Start: i, End: j, Bytes: append([]byte(nil), buf[i:j]...)})
+		i = j
+	}
+	return out
+}
+
+// checkAgainstRef fails t unless Verify and CorruptRanges agree exactly
+// with the byte-wise reference on buf.
+func checkAgainstRef(t *testing.T, c Canary, buf []byte) {
+	t.Helper()
+	if got, want := c.Verify(buf), refVerify(c, buf); got != want {
+		t.Fatalf("canary %08x, % x: Verify = %v, reference %v", uint32(c), buf, got, want)
+	}
+	if got, want := c.CorruptRanges(buf), refCorruptRanges(c, buf); !reflect.DeepEqual(got, want) {
+		t.Fatalf("canary %08x, % x: CorruptRanges = %v, reference %v", uint32(c), buf, got, want)
+	}
+}
+
+func TestWordwiseMatchesBytewiseReference(t *testing.T) {
+	rng := xrand.New(10)
+	for trial := 0; trial < 40; trial++ {
+		c := New(rng)
+		for n := 0; n <= 300; n++ {
+			got, want := make([]byte, n), make([]byte, n)
+			c.Fill(got)
+			refFill(c, want)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("canary %08x, len %d: Fill = % x, reference % x", uint32(c), n, got, want)
+			}
+			checkAgainstRef(t, c, got)
+			if n == 0 {
+				continue
+			}
+			// Corrupt at a word boundary, in the tail past the last
+			// whole word, and at several random places at once.
+			var offs []int
+			if b := (rng.Intn(n) &^ 7); b > 0 {
+				offs = append(offs, b-1, b)
+			}
+			if tail := n &^ 7; tail < n {
+				offs = append(offs, tail+rng.Intn(n-tail))
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				offs = append(offs, rng.Intn(n))
+			}
+			buf := append([]byte(nil), got...)
+			for _, off := range offs {
+				buf[off] ^= byte(1 + rng.Intn(255))
+			}
+			checkAgainstRef(t, c, buf)
+			// A run of bytes spanning words, some of which may happen to
+			// equal the pattern.
+			start := rng.Intn(n)
+			for i := start; i < n && i < start+1+rng.Intn(20); i++ {
+				buf[i] = byte(rng.Intn(256))
+			}
+			checkAgainstRef(t, c, buf)
+		}
+	}
+}
+
+func FuzzCanaryCorruptRanges(f *testing.F) {
+	f.Add(uint32(0x11223345), []byte{})
+	f.Add(uint32(0xdeadbeef), []byte{0xef, 0xbe, 0xad, 0xde, 0xef, 0xbe, 0xad, 0xde, 0x00})
+	f.Add(uint32(0x01010101), bytes.Repeat([]byte{1}, 17))
+	f.Fuzz(func(t *testing.T, v uint32, buf []byte) {
+		c := Canary(v | 1)
+		checkAgainstRef(t, c, buf)
+		// The same bytes written over part of a fresh fill, at an offset
+		// that is not word-aligned, with intact canary on both sides.
+		filled := make([]byte, len(buf)+19)
+		c.Fill(filled)
+		copy(filled[3:], buf)
+		checkAgainstRef(t, c, filled)
+	})
 }
 
 func BenchmarkFill256(b *testing.B) {

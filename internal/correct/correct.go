@@ -16,8 +16,6 @@
 package correct
 
 import (
-	stdheap "container/heap"
-
 	"exterminator/internal/alloc"
 	"exterminator/internal/diefast"
 	"exterminator/internal/mem"
@@ -32,24 +30,56 @@ type deferred struct {
 	seq int    // FIFO tie-break for equal due times
 }
 
-// deferralQueue is a min-heap on due time.
+// before orders deferrals by due time, then FIFO.
+func (d deferred) before(e deferred) bool {
+	if d.due != e.due {
+		return d.due < e.due
+	}
+	return d.seq < e.seq
+}
+
+// deferralQueue is a binary min-heap on (due, seq). It is typed rather
+// than built on container/heap so that pushes and pops do not box each
+// entry in an interface, which would cost an allocation per deferral.
 type deferralQueue []deferred
 
-func (q deferralQueue) Len() int { return len(q) }
-func (q deferralQueue) Less(i, j int) bool {
-	if q[i].due != q[j].due {
-		return q[i].due < q[j].due
+func (q *deferralQueue) push(d deferred) {
+	*q = append(*q, d)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
 	}
-	return q[i].seq < q[j].seq
 }
-func (q deferralQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *deferralQueue) Push(x any)   { *q = append(*q, x.(deferred)) }
-func (q *deferralQueue) Pop() any {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
+
+// pop removes and returns the earliest entry; the queue must be non-empty.
+func (q *deferralQueue) pop() deferred {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		c := l
+		if r := l + 1; r < n && h[r].before(h[l]) {
+			c = r
+		}
+		if !h[c].before(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
+	return top
 }
 
 // Allocator is the correcting allocator.
@@ -145,6 +175,9 @@ func (a *Allocator) Malloc(size int, allocSite site.ID) (mem.Addr, error) {
 // translate maps a program pointer back to its slot base (undoing any
 // front pad) and reports the front pad applied.
 func (a *Allocator) translate(ptr mem.Addr) (mem.Addr, int) {
+	if len(a.frontPads) == 0 {
+		return ptr, 0
+	}
 	if f, ok := a.frontPads[ptr]; ok {
 		return ptr - mem.Addr(f), f
 	}
@@ -153,7 +186,8 @@ func (a *Allocator) translate(ptr mem.Addr) (mem.Addr, int) {
 
 // Free implements Figure 6's correcting_free: defer if the site pair has a
 // deferral entry, otherwise free immediately. Front-padded pointers are
-// translated back to their slot base first.
+// translated back to their slot base first. The slot is resolved once,
+// here, and an immediate free hands it to DieFast's FreeSlot.
 func (a *Allocator) Free(ptr mem.Addr, freeSite site.ID) alloc.FreeStatus {
 	base, front := a.translate(ptr)
 	mh, slot, ok := a.heap.Diehard().Lookup(base)
@@ -168,13 +202,13 @@ func (a *Allocator) Free(ptr mem.Addr, freeSite site.ID) alloc.FreeStatus {
 	d := a.patches.Deferral(pair)
 	if d == 0 {
 		a.unaccountPad(base)
-		return a.heap.Free(base, freeSite)
+		return a.heap.FreeSlot(mh, slot, freeSite)
 	}
 	// Record the logical free site now, so a heap image taken while the
 	// object sits in the queue still shows where the program freed it.
 	m.FreeSite = freeSite
 	a.seq++
-	stdheap.Push(&a.queue, deferred{ptr: base, due: a.heap.Clock() + d, seq: a.seq})
+	a.queue.push(deferred{ptr: base, due: a.heap.Clock() + d, seq: a.seq})
 	a.deferredCount++
 	a.deferredBytes += uint64(m.ReqSize) * d
 	return alloc.FreeDeferred
@@ -185,7 +219,7 @@ func (a *Allocator) Free(ptr mem.Addr, freeSite site.ID) alloc.FreeStatus {
 func (a *Allocator) drain() {
 	now := a.heap.Clock()
 	for len(a.queue) > 0 && a.queue[0].due <= now {
-		d := stdheap.Pop(&a.queue).(deferred)
+		d := a.queue.pop()
 		a.unaccountPad(d.ptr)
 		a.heap.Free(d.ptr, 0)
 	}
@@ -195,7 +229,7 @@ func (a *Allocator) drain() {
 // program end so heap accounting balances).
 func (a *Allocator) Flush() {
 	for len(a.queue) > 0 {
-		d := stdheap.Pop(&a.queue).(deferred)
+		d := a.queue.pop()
 		a.unaccountPad(d.ptr)
 		a.heap.Free(d.ptr, 0)
 	}
@@ -205,6 +239,9 @@ func (a *Allocator) Flush() {
 func (a *Allocator) PendingDeferrals() int { return len(a.queue) }
 
 func (a *Allocator) unaccountPad(ptr mem.Addr) {
+	if len(a.padSizes) == 0 {
+		return
+	}
 	if pad, ok := a.padSizes[ptr]; ok {
 		a.padBytesLive -= pad
 		delete(a.padSizes, ptr)

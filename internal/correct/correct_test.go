@@ -1,6 +1,8 @@
 package correct
 
 import (
+	"bytes"
+	stdheap "container/heap"
 	"testing"
 
 	"exterminator/internal/alloc"
@@ -160,6 +162,111 @@ func TestFIFOForEqualDueTimes(t *testing.T) {
 	}
 }
 
+// refQueue is the container/heap formulation of the deferral queue: the
+// reference its pop order must match.
+type refQueue []deferred
+
+func (q refQueue) Len() int           { return len(q) }
+func (q refQueue) Less(i, j int) bool { return q[i].before(q[j]) }
+func (q refQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)        { *q = append(*q, x.(deferred)) }
+func (q *refQueue) Pop() any {
+	old := *q
+	item := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return item
+}
+
+func TestDeferralQueuePopOrderMatchesContainerHeap(t *testing.T) {
+	rng := xrand.New(15)
+	for trial := 0; trial < 50; trial++ {
+		var q deferralQueue
+		var ref refQueue
+		seq := 0
+		for op := 0; op < 500; op++ {
+			if len(q) == 0 || rng.Intn(3) > 0 {
+				seq++
+				// Few distinct due times, so seq breaks many ties.
+				d := deferred{ptr: mem.Addr(seq), due: uint64(op + rng.Intn(8)), seq: seq}
+				q.push(d)
+				stdheap.Push(&ref, d)
+				continue
+			}
+			if got, want := q.pop(), stdheap.Pop(&ref).(deferred); got != want {
+				t.Fatalf("trial %d op %d: pop = %+v, container/heap %+v", trial, op, got, want)
+			}
+		}
+		for len(q) > 0 {
+			if got, want := q.pop(), stdheap.Pop(&ref).(deferred); got != want {
+				t.Fatalf("trial %d drain: pop = %+v, container/heap %+v", trial, got, want)
+			}
+		}
+		if ref.Len() != 0 {
+			t.Fatalf("trial %d: reference still holds %d entries", trial, ref.Len())
+		}
+	}
+}
+
+// TestFreeMatchesDieFast pins that correct.Free, which resolves the slot
+// itself and calls FreeSlot, returns the same status and leaves the same
+// allocator statistics as diefast.Free for every kind of free.
+func TestFreeMatchesDieFast(t *testing.T) {
+	cases := []struct {
+		name string
+		want alloc.FreeStatus
+		// run performs the case on heap h, freeing through free.
+		run func(h *diefast.Heap, free func(mem.Addr) alloc.FreeStatus) alloc.FreeStatus
+	}{
+		{"valid", alloc.FreeOK, func(h *diefast.Heap, free func(mem.Addr) alloc.FreeStatus) alloc.FreeStatus {
+			p, _ := h.Malloc(40, 1)
+			return free(p)
+		}},
+		{"double", alloc.FreeDouble, func(h *diefast.Heap, free func(mem.Addr) alloc.FreeStatus) alloc.FreeStatus {
+			p, _ := h.Malloc(40, 1)
+			free(p)
+			return free(p)
+		}},
+		{"invalid-unmapped", alloc.FreeInvalid, func(h *diefast.Heap, free func(mem.Addr) alloc.FreeStatus) alloc.FreeStatus {
+			return free(0x1234567)
+		}},
+		{"invalid-interior", alloc.FreeInvalid, func(h *diefast.Heap, free func(mem.Addr) alloc.FreeStatus) alloc.FreeStatus {
+			p, _ := h.Malloc(40, 1)
+			return free(p + 8)
+		}},
+		{"bad-isolated", alloc.FreeInvalid, func(h *diefast.Heap, free func(mem.Addr) alloc.FreeStatus) alloc.FreeStatus {
+			p, _ := h.Malloc(40, 1)
+			mh, slot, _ := h.Diehard().Lookup(p)
+			h.Diehard().Isolate(mh, slot)
+			return free(p)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Same seed on both sides: identical layouts and addresses.
+			direct := diefast.New(diefast.DefaultConfig(), xrand.New(16))
+			wrapped := newAllocator(16)
+			got := tc.run(wrapped.Heap(), func(p mem.Addr) alloc.FreeStatus { return wrapped.Free(p, 2) })
+			want := tc.run(direct, func(p mem.Addr) alloc.FreeStatus { return direct.Free(p, 2) })
+			if got != want || got != tc.want {
+				t.Fatalf("correct.Free = %v, diefast.Free = %v, want %v", got, want, tc.want)
+			}
+			if gs, ws := wrapped.Heap().Diehard().Stats(), direct.Diehard().Stats(); gs != ws {
+				t.Fatalf("stats through correct %+v, through diefast %+v", gs, ws)
+			}
+			// The DieFast layer ran too: the same slots hold canaries.
+			gm, wm := wrapped.Heap().Diehard().Miniheaps(), direct.Diehard().Miniheaps()
+			if len(gm) != len(wm) {
+				t.Fatalf("%d miniheaps through correct, %d through diefast", len(gm), len(wm))
+			}
+			for i := range wm {
+				if !bytes.Equal(gm[i].Region.Data, wm[i].Region.Data) {
+					t.Fatalf("miniheap %d contents differ between correct.Free and diefast.Free", i)
+				}
+			}
+		})
+	}
+}
+
 func TestReloadOnTheFly(t *testing.T) {
 	a := newAllocator(7)
 	p, _ := a.Malloc(10, 0xAA)
@@ -253,6 +360,28 @@ func BenchmarkCorrectingMallocFreeWithPatches(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p, _ := a.Malloc(64, site.ID(uint32(i%100)))
 		a.Free(p, site.ID(uint32(i%100)+1))
+	}
+}
+
+func TestPatchedMallocFreeAllocatesNothing(t *testing.T) {
+	a := newAllocator(17)
+	ps := patch.New()
+	for i := uint32(0); i < 100; i++ {
+		ps.AddPad(site.ID(i), 8)
+		ps.AddDeferral(site.Pair{Alloc: site.ID(i), Free: site.ID(i + 1)}, 3)
+	}
+	a.Reload(ps)
+	i := 0
+	op := func() {
+		p, _ := a.Malloc(64, site.ID(uint32(i%100)))
+		a.Free(p, site.ID(uint32(i%100)+1))
+		i++
+	}
+	for i < 1000 { // reach the steady-state queue and pad-table sizes
+		op()
+	}
+	if n := testing.AllocsPerRun(1000, op); n != 0 {
+		t.Fatalf("patched malloc+free (pads and deferrals): %v allocs/op, want 0", n)
 	}
 }
 

@@ -200,7 +200,7 @@ func (h *Heap) Malloc(size int, allocSite site.ID) (mem.Addr, error) {
 		}
 		addr := h.dh.Commit(mh, slot, size, allocSite)
 		m.Canaried = false
-		zero(mh.SlotData(slot))
+		clear(mh.SlotData(slot))
 		return addr, nil
 	}
 }
@@ -213,7 +213,13 @@ func (h *Heap) Free(ptr mem.Addr, freeSite site.ID) alloc.FreeStatus {
 	if !ok {
 		return h.dh.Free(ptr, freeSite) // counts the invalid free
 	}
-	st := h.dh.Free(ptr, freeSite)
+	return h.FreeSlot(mh, slot, freeSite)
+}
+
+// FreeSlot is Free for a pointer the caller has already resolved with
+// Diehard().Lookup.
+func (h *Heap) FreeSlot(mh *heap.Miniheap, slot int, freeSite site.ID) alloc.FreeStatus {
+	st := h.dh.FreeSlot(mh, slot, freeSite)
 	if st != alloc.FreeOK {
 		return st
 	}
@@ -303,11 +309,5 @@ func (h *Heap) signal(e Event) {
 	h.events = append(h.events, e)
 	if h.OnError != nil {
 		h.OnError(e)
-	}
-}
-
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
 	}
 }

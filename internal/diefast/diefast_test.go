@@ -258,6 +258,20 @@ func TestChecksCounted(t *testing.T) {
 	}
 }
 
+func TestSteadyStateMallocFreeAllocatesNothing(t *testing.T) {
+	h := newHeap(11)
+	for i := 0; i < 1000; i++ { // grow the class and its miniheaps first
+		p, _ := h.Malloc(64, 0)
+		h.Free(p, 0)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		p, _ := h.Malloc(64, 0)
+		h.Free(p, 0)
+	}); n != 0 {
+		t.Fatalf("steady-state malloc+free: %v allocs/op, want 0", n)
+	}
+}
+
 func BenchmarkDieFastMallocFree(b *testing.B) {
 	h := newHeap(1)
 	b.ResetTimer()

@@ -215,6 +215,12 @@ func (h *Heap) Free(ptr mem.Addr, freeSite site.ID) alloc.FreeStatus {
 		h.stats.NoteFree(alloc.FreeInvalid, 0)
 		return alloc.FreeInvalid
 	}
+	return h.FreeSlot(mh, slot, freeSite)
+}
+
+// FreeSlot is Free for a pointer the caller has already resolved with
+// Lookup, so a layered free resolves its pointer once.
+func (h *Heap) FreeSlot(mh *heap.Miniheap, slot int, freeSite site.ID) alloc.FreeStatus {
 	m := mh.Meta(slot)
 	if m.Bad {
 		// A bad-isolated slot is not program-owned; treat as invalid.

@@ -422,10 +422,11 @@ func confirmCulprit(images []*image.Image, idx []*index, culprit heap.ObjectID, 
 			continue // no canary at c+δ in this image: unobservable
 		}
 		off := int(target - v.Addr)
-		run, ok := corruptRunAt(img.Canary, v.Data, off)
+		r, ok := corruptRunAt(img.Canary, v.Data, off)
 		if !ok {
 			continue // canary intact: may postdate the overflow — unobservable
 		}
+		run := r.Bytes
 		// Shared-bytes requirement (§4.1): compare against the anchor's
 		// observed overflow string.
 		n := len(run)
@@ -503,10 +504,11 @@ func confirmBackwardCulprit(images []*image.Image, idx []*index, culprit heap.Ob
 			continue
 		}
 		off := int(target - v.Addr)
-		run, ok := corruptRunAt(img.Canary, v.Data, off)
+		r, ok := corruptRunAt(img.Canary, v.Data, off)
 		if !ok {
 			continue
 		}
+		run := r.Bytes
 		n := len(run)
 		if n > len(anchorBytes) {
 			n = len(anchorBytes)
@@ -523,9 +525,8 @@ func confirmBackwardCulprit(images []*image.Image, idx []*index, culprit heap.Ob
 		obsns++
 		// The run containing target may start even earlier; the front pad
 		// must cover from the earliest corrupted byte to the object start.
-		runStart, _ := corruptRunStart(img.Canary, v.Data, off)
-		if r := deltaBack + (off - runStart); r > reach {
-			reach = r
+		if e := deltaBack + (off - r.Start); e > reach {
+			reach = e
 		}
 		totalS += len(run)
 	}
@@ -548,34 +549,16 @@ func confirmBackwardCulprit(images []*image.Image, idx []*index, culprit heap.Ob
 	}
 }
 
-// corruptRunStart returns the start offset of the corrupted run
-// containing off (assumes the byte at off is corrupt).
-func corruptRunStart(c canary.Canary, data []byte, off int) (int, bool) {
-	if off < 0 || off >= len(data) || data[off] == c.Byte(off) {
-		return 0, false
+// corruptRunAt returns the maximal corrupted range of a canary-filled
+// buffer that contains offset off, or ok=false if the byte at off is
+// intact.
+func corruptRunAt(c canary.Canary, data []byte, off int) (canary.Range, bool) {
+	for _, r := range c.CorruptRanges(data) {
+		if r.Start <= off && off < r.End {
+			return r, true
+		}
 	}
-	start := off
-	for start > 0 && data[start-1] != c.Byte(start-1) {
-		start--
-	}
-	return start, true
-}
-
-// corruptRunAt returns the corrupted run containing offset off of a
-// canary-filled buffer, or ok=false if the byte at off is intact.
-func corruptRunAt(c canary.Canary, data []byte, off int) ([]byte, bool) {
-	if off < 0 || off >= len(data) || data[off] == c.Byte(off) {
-		return nil, false
-	}
-	start := off
-	for start > 0 && data[start-1] != c.Byte(start-1) {
-		start--
-	}
-	end := off + 1
-	for end < len(data) && data[end] != c.Byte(end) {
-		end++
-	}
-	return data[start:end], true
+	return canary.Range{}, false
 }
 
 // liveVictims diffs live objects across images word-by-word with the

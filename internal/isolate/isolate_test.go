@@ -253,7 +253,7 @@ func TestCorruptRunAt(t *testing.T) {
 	c.Fill(buf)
 	copy(buf[8:], []byte{1, 2, 3, 4})
 	run, ok := corruptRunAt(c, buf, 9)
-	if !ok || len(run) < 3 {
+	if !ok || run.Len() < 3 {
 		t.Fatalf("run = %v, ok = %v", run, ok)
 	}
 	if _, ok := corruptRunAt(c, buf, 0); ok {
