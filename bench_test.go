@@ -33,7 +33,6 @@ import (
 	"exterminator/internal/freelist"
 	"exterminator/internal/inject"
 	"exterminator/internal/mem"
-	"exterminator/internal/modes"
 	"exterminator/internal/mutator"
 	"exterminator/internal/patch"
 	"exterminator/internal/site"
@@ -276,7 +275,8 @@ func BenchmarkAblationDeferralDoubling(b *testing.B) {
 		hookFor := func() mutator.Hook {
 			return inject.New(inject.Plan{Kind: inject.Dangling, TriggerAlloc: 2300, Seed: uint64(i + 3)})
 		}
-		modes.Iterative(prog, nil, hookFor, modes.Options{HeapSeed: uint64(i + 1), MaxIterations: 4})
+		runEngine(b, engine.Batch(prog), engine.WithSeeds(uint64(i+1), 0x9106),
+			engine.WithHook(hookFor), engine.WithMaxIterations(4))
 	}
 }
 
@@ -290,7 +290,8 @@ func BenchmarkIsolationRound(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		modes.Iterative(prog, nil, hookFor, modes.Options{HeapSeed: uint64(i + 1), MaxIterations: 1})
+		runEngine(b, engine.Batch(prog), engine.WithSeeds(uint64(i+1), 0x9106),
+			engine.WithHook(hookFor), engine.WithMaxIterations(1))
 	}
 }
 
@@ -679,21 +680,28 @@ func (p latentProgram) Run(e *mutator.Env) {
 	}
 }
 
+// runEngine drives one engine session to completion (iterative mode
+// unless opts say otherwise).
+func runEngine(b *testing.B, w engine.Workload, opts ...engine.Option) *engine.Result {
+	sess, err := engine.New(w, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := sess.Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 func benchCumulative(b *testing.B, prog mutator.Program, parallelism int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sess, err := engine.New(engine.Batch(prog),
+		res := runEngine(b, engine.Batch(prog),
 			engine.WithMode(engine.ModeCumulative),
 			engine.WithSeeds(uint64(i+1), 0x9106),
 			engine.WithMaxRuns(12),
 			engine.WithParallelism(parallelism))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sess.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
 		if res.Cumulative.Runs != 12 {
 			b.Fatalf("session recorded %d runs, want 12", res.Cumulative.Runs)
 		}
@@ -719,7 +727,8 @@ func BenchmarkServeHealthyStream(b *testing.B) {
 	chunks := workloads.SquidRequestStream(workloads.SquidBenignInput(60))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := modes.Serve(workloads.NewSquidStream(), chunks, nil, modes.Options{HeapSeed: uint64(i + 1)})
+		res := runEngine(b, engine.Stream(workloads.NewSquidStream()), engine.WithMode(engine.ModeServe),
+			engine.WithSeeds(uint64(i+1), 0x9106), engine.WithChunks(chunks)).Serve
 		if len(res.Incidents) != 0 {
 			b.Fatal("benign stream had incidents")
 		}

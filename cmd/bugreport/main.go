@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"os"
 
-	"exterminator/internal/core"
+	"exterminator/internal/patch"
 	"exterminator/internal/report"
 )
 
@@ -23,9 +23,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: bugreport <patch-file>...")
 		os.Exit(2)
 	}
-	merged := core.NewPatches()
+	merged := patch.New()
 	for _, path := range flag.Args() {
-		p, err := core.LoadPatches(path)
+		p, err := loadPatches(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bugreport: %s: %v\n", path, err)
 			os.Exit(1)
@@ -37,4 +37,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bugreport:", err)
 		os.Exit(1)
 	}
+}
+
+func loadPatches(path string) (*patch.Set, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return patch.Decode(f)
 }

@@ -22,19 +22,21 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 
-	"exterminator/internal/core"
+	"exterminator/internal/cumulative"
 	"exterminator/internal/diefast"
 	"exterminator/internal/engine"
 	"exterminator/internal/fleet"
 	"exterminator/internal/image"
 	"exterminator/internal/inject"
 	"exterminator/internal/mutator"
+	"exterminator/internal/patch"
 	"exterminator/internal/telemetry"
 	"exterminator/internal/trace"
 	"exterminator/internal/workloads"
@@ -147,7 +149,7 @@ func main() {
 			engine.WithFlushInterval(*flushInt),
 			engine.WithFlushEvery(*flushEvery))
 		if *historyIn != "" {
-			hist, err := core.LoadHistory(*historyIn)
+			hist, err := decodeFile(*historyIn, cumulative.DecodeHistory)
 			if err != nil {
 				fatalf("load history: %v", err)
 			}
@@ -159,7 +161,7 @@ func main() {
 	}
 
 	if *patchIn != "" {
-		p, err := core.LoadPatches(*patchIn)
+		p, err := decodeFile(*patchIn, patch.Decode)
 		if err != nil {
 			fatalf("load patches: %v", err)
 		}
@@ -242,7 +244,10 @@ func main() {
 		fmt.Printf("derived %d patch entr%s (%d new this session)\n",
 			res.Patches.Len(), plural(res.Patches.Len()), res.Derived.Len())
 		if *text {
-			core.WritePatchesText(res.Patches, os.Stdout)
+			if err := res.Patches.EncodeText(os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "exterminate: write patches: %v\n", err)
+				exitCode = 1
+			}
 		}
 	} else {
 		fmt.Println("no patches derived")
@@ -357,6 +362,17 @@ func recordTrace(prog mutator.Program, input []byte, seed uint64, path string) e
 	}
 	defer f.Close()
 	return rec.Trace().Encode(f)
+}
+
+// decodeFile opens path and decodes it with decode.
+func decodeFile[T any](path string, decode func(io.Reader) (T, error)) (T, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer f.Close()
+	return decode(f)
 }
 
 func plural(n int) string {

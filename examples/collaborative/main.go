@@ -17,10 +17,10 @@ import (
 	"os"
 	"path/filepath"
 
-	"exterminator/internal/core"
 	"exterminator/internal/engine"
 	"exterminator/internal/inject"
 	"exterminator/internal/mutator"
+	"exterminator/internal/patch"
 	"exterminator/internal/workloads"
 )
 
@@ -80,16 +80,23 @@ func main() {
 	}
 
 	fmt.Println("\n=== merge all users' patches (max-combine) ===")
-	merged := core.NewPatches()
-	for _, f := range files {
-		p, err := core.LoadPatches(f)
+	merged := patch.New()
+	for _, path := range files {
+		f, err := os.Open(path)
+		if err != nil {
+			log.Fatal(err)
+		}
+		p, err := patch.Decode(f)
+		f.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
 		merged.Merge(p)
 	}
 	fmt.Printf("merged set: %d entries\n", merged.Len())
-	core.WritePatchesText(merged, os.Stdout)
+	if err := merged.EncodeText(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("\n=== every user's bug is fixed by the merged set ===")
 	for u, plan := range bugs {

@@ -42,7 +42,7 @@ var LockOrder = []LockRank{
 	{Class: "cluster.Router.mu", Doc: "router membership snapshot and per-partition clients"},
 	{Class: "cluster.Ring.mu", Doc: "consistent-hash ring membership and version"},
 	{Class: "fleet.Client.mu", Doc: "upload client request-id/backoff/failover state: active base, last epoch, ETag"},
-	{Class: "cluster.Replica.mu", Doc: "read-replica cache: mirrored patch set, delta ring, triage body; poll I/O happens before it is taken, responses are assembled under it and written after release"},
+	{Class: "cluster.Replica.mu", Doc: "read-replica cache: mirrored patch-log pointer and epoch, triage body; poll I/O happens before it is taken, responses are written after release"},
 	// —— partition / server scope ——
 	{Class: "cluster.Coordinator.reportMu", Doc: "coordinator bug-report accumulator"},
 	{Class: "fleet.Server.correctMu", Doc: "serializes correction passes (O(dirty-sites) identify+patch)"},

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -671,34 +670,12 @@ func (c *Coordinator) Sync(ctx context.Context) (uint64, error) {
 }
 
 func (c *Coordinator) handlePatches(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
+	if r.Method == http.MethodGet {
+		c.metrics.patchPolls.Inc()
 	}
-	reqID := fleet.EchoRequestID(w, r)
-	c.metrics.patchPolls.Inc()
-	var since uint64
-	if q := r.URL.Query().Get("since"); q != "" {
-		v, err := strconv.ParseUint(q, 10, 64)
-		if err != nil {
-			http.Error(w, "cluster: bad since: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		since = v
-	}
-	ps, version := c.log.Since(since)
-	epoch := c.epoch.Load()
-	if fleet.MatchETag(w, r, fleet.PatchETag(epoch, version)) {
+	if fleet.ServePatches(w, r, c.log, c.epoch.Load(), c.logger) {
 		c.metrics.patchNotMod.Inc()
-		c.logger.Debug("patches revalidated (304)",
-			"since", since, "version", version, "requestId", reqID)
-		return
 	}
-	wire := fleet.ToWire(ps, version)
-	wire.Epoch = epoch
-	c.logger.Debug("patches served",
-		"since", since, "version", version, "requestId", reqID)
-	fleet.WritePatchSet(w, r, wire)
 }
 
 func (c *Coordinator) handleReports(w http.ResponseWriter, r *http.Request) {

@@ -380,9 +380,10 @@ func TestReplicaServesCachedPatchesAndTriage(t *testing.T) {
 		t.Fatalf("hit counters = %d not-modified / %d requests", got.PatchNotModified, got.PatchRequests)
 	}
 
-	// Delta ring: a cursor inside the ring gets exactly the coordinator's
-	// delta answer, stamped with the upstream version numbering. The
-	// second wave indicts a *new* site so the patch log actually moves.
+	// Mirrored log: a cursor inside the retained window gets exactly the
+	// coordinator's delta answer, stamped with the upstream version
+	// numbering. The second wave indicts a *new* site so the patch log
+	// actually moves.
 	firstVersion := st.ReplicaVersion
 	feedSecondWave(t, ctx, partURL)
 	if _, err := coord.Sync(ctx); err != nil {

@@ -7,14 +7,12 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"exterminator/internal/fleet"
 	"exterminator/internal/fleet/codec"
-	"exterminator/internal/patch"
 	"exterminator/internal/telemetry"
 	"exterminator/internal/version"
 )
@@ -23,12 +21,13 @@ import (
 // coordinator's patch log and triage ranking and re-serves them to any
 // number of pollers, CDN-style. Patch distribution is overwhelmingly
 // read-heavy — millions of installations poll, one merge tier writes —
-// so replicas absorb the fan-in: each keeps a delta ring keyed by the
-// *upstream's* version numbers (a poller talking to a replica sees the
-// exact versions and epoch the coordinator would have served), stamps
-// every response with the upstream ETag validator, and answers an
-// unchanged poll with a bodyless 304. Losing a replica loses nothing:
-// its entire state is rebuilt from one upstream poll.
+// so replicas absorb the fan-in: each mirrors the upstream patch log in
+// a fleet.PatchLog that carries the *upstream's* version numbers (a
+// poller talking to a replica sees the exact versions and epoch the
+// coordinator would have served) and serves it through the same
+// fleet.ServePatches handler as every other tier: upstream ETag
+// validator, bodyless 304 for an unchanged poll. Losing a replica loses
+// nothing: its entire state is rebuilt from one upstream poll.
 //
 // Replicas follow a failover pair transparently: configure the primary
 // and standby as upstreams, and the replica rotates on transport
@@ -38,7 +37,6 @@ type Replica struct {
 	upstreams []string
 	hc        *http.Client
 	interval  time.Duration
-	maxDeltas int
 	wireV2    bool
 	logger    *slog.Logger
 	reg       *telemetry.Registry
@@ -48,23 +46,13 @@ type Replica struct {
 
 	mu     sync.Mutex
 	active int // upstream currently polled (sticky rotation)
-	synced bool
-	epoch  uint64
-	vers   uint64
-	full   *patch.Set
-	// entries is the delta ring: entries[i] holds exactly the patch
-	// entries upstream versions (from, to] introduced, contiguous and
-	// in order. Polls with a cursor inside the ring get the merged
-	// suffix; older cursors get the full set (over-answering is safe —
-	// patches compose by maxima).
-	entries    []replicaDelta
+	// log mirrors the upstream patch log at epoch; nil until the first
+	// successful poll. A full resync swaps in a fresh log, so handlers
+	// read the pointer and epoch together under mu.
+	log        *fleet.PatchLog
+	epoch      uint64
 	triageBody []byte
 	triageETag string
-}
-
-type replicaDelta struct {
-	from, to uint64
-	set      *patch.Set
 }
 
 // ReplicaOptions configures a read replica.
@@ -75,9 +63,6 @@ type ReplicaOptions struct {
 	// PollInterval is the upstream refresh cadence, jittered ±10%
 	// (0 = 1s).
 	PollInterval time.Duration
-	// MaxDeltas bounds the retained delta ring (0 = 64); pollers whose
-	// cursor falls off the ring resync from the full set.
-	MaxDeltas int
 	// Token authenticates upstream polls when the cluster is
 	// token-hardened (optional; the replica's own read surface is
 	// unauthenticated, like every patch read path).
@@ -147,16 +132,11 @@ func NewReplica(opts ReplicaOptions) (*Replica, error) {
 		upstreams: ups,
 		hc:        &http.Client{Timeout: 15 * time.Second},
 		interval:  opts.PollInterval,
-		maxDeltas: opts.MaxDeltas,
 		wireV2:    opts.WireV2,
-		full:      patch.New(),
 		start:     time.Now(),
 	}
 	if r.interval <= 0 {
 		r.interval = time.Second
-	}
-	if r.maxDeltas <= 0 {
-		r.maxDeltas = 64
 	}
 	if opts.Token != "" {
 		r.hc.Transport = &bearerTransport{token: opts.Token, base: http.DefaultTransport}
@@ -226,28 +206,23 @@ func (r *Replica) Run(ctx context.Context) {
 func (r *Replica) PollOnce(ctx context.Context) error {
 	r.metrics.polls.Inc()
 	r.mu.Lock()
-	since := uint64(0)
-	if r.synced {
-		since = r.vers
-	}
-	epoch := r.epoch
+	log, epoch := r.log, r.epoch
 	r.mu.Unlock()
+	since := uint64(0)
+	if log != nil {
+		since = log.Version()
+	}
 
-	w, err := r.fetchPatches(ctx, since)
+	w, err := r.fetchPatches(ctx, since, epoch)
 	if err != nil {
 		r.metrics.pollErrs.Inc()
 		return err
 	}
 	if epoch != 0 && w.Epoch != 0 && w.Epoch != epoch {
-		if w.Epoch < epoch {
-			// Zombie primary: rotate away and refuse the stale state.
-			r.rotate()
-			r.metrics.pollErrs.Inc()
-			return fmt.Errorf("cluster: replica upstream answered stale epoch %d (have %d)", w.Epoch, epoch)
-		}
-		// Failover (or coordinator restart): version numbering restarted
-		// under the new epoch, so rebuild the cache from a full fetch.
-		if w, err = r.fetchPatches(ctx, 0); err != nil {
+		// Failover (or coordinator restart) to a higher epoch: version
+		// numbering restarted under it, so rebuild the cache from a full
+		// fetch — which must not fall back below the epoch just seen.
+		if w, err = r.fetchPatches(ctx, 0, w.Epoch); err != nil {
 			r.metrics.pollErrs.Inc()
 			return err
 		}
@@ -264,22 +239,14 @@ func (r *Replica) PollOnce(ctx context.Context) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if since == 0 {
-		r.full = w.Set()
-		r.entries = nil
-		r.epoch, r.vers, r.synced = w.Epoch, w.Version, true
-	} else if w.Version > r.vers {
-		delta := w.Set()
-		r.full.Merge(delta)
-		r.entries = append(r.entries, replicaDelta{from: r.vers, to: w.Version, set: delta})
-		if len(r.entries) > r.maxDeltas {
-			r.entries = append([]replicaDelta(nil), r.entries[len(r.entries)-r.maxDeltas:]...)
-		}
-		r.vers = w.Version
+		r.log, r.epoch = fleet.NewPatchLogAt(w.Set(), w.Version), w.Epoch
+	} else if w.Version > r.log.Version() {
+		r.log.Advance(w.Set(), w.Version)
 		if w.Epoch != 0 {
 			r.epoch = w.Epoch
 		}
 	}
-	r.metrics.versionG.Set(float64(r.vers))
+	r.metrics.versionG.Set(float64(r.log.Version()))
 	if terr == nil && len(tbody) > 0 {
 		r.triageBody = tbody
 		h := fnv.New64a()
@@ -304,8 +271,10 @@ func (r *Replica) upstream() string {
 }
 
 // fetchPatches polls one upstream, rotating through the failover set on
-// transport errors and 503s (a standby answering before promotion).
-func (r *Replica) fetchPatches(ctx context.Context, since uint64) (*fleet.WirePatchSet, error) {
+// transport errors and 503s (a standby answering before promotion). An
+// answer stamped below minEpoch comes from a zombie primary: the
+// replica rotates away and refuses it.
+func (r *Replica) fetchPatches(ctx context.Context, since, minEpoch uint64) (*fleet.WirePatchSet, error) {
 	var lastErr error
 	for i := 0; i < len(r.upstreams); i++ {
 		base := r.upstream()
@@ -335,6 +304,10 @@ func (r *Replica) fetchPatches(ctx context.Context, since uint64) (*fleet.WirePa
 		resp.Body.Close()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: replica poll %s: %w", base, err)
+		}
+		if w.Epoch != 0 && w.Epoch < minEpoch {
+			r.rotate()
+			return nil, fmt.Errorf("cluster: replica upstream answered stale epoch %d (have %d)", w.Epoch, minEpoch)
 		}
 		return w, nil
 	}
@@ -369,63 +342,20 @@ func (r *Replica) getURL(ctx context.Context, url, accept string) (*http.Respons
 }
 
 func (r *Replica) handlePatches(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
+	if req.Method == http.MethodGet {
+		r.metrics.patchReqs.Inc()
 	}
-	reqID := fleet.EchoRequestID(w, req)
-	r.metrics.patchReqs.Inc()
-	var since uint64
-	if q := req.URL.Query().Get("since"); q != "" {
-		v, err := strconv.ParseUint(q, 10, 64)
-		if err != nil {
-			http.Error(w, "cluster: bad since: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		since = v
-	}
-
-	// Assemble the response under the lock, write it after release (no
-	// blocking I/O under a data lock).
 	r.mu.Lock()
-	if !r.synced {
-		r.mu.Unlock()
+	log, epoch := r.log, r.epoch
+	r.mu.Unlock()
+	if log == nil {
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "cluster: replica warming (no upstream state yet)", http.StatusServiceUnavailable)
 		return
 	}
-	epoch, vers := r.epoch, r.vers
-	var ps *patch.Set
-	switch {
-	case since >= vers:
-		if since > vers {
-			// A cursor this incarnation never issued: resync, exactly
-			// like the coordinator would.
-			ps = r.full.Clone()
-		} else {
-			ps = patch.New()
-		}
-	case len(r.entries) == 0 || since < r.entries[0].from:
-		ps = r.full.Clone()
-	default:
-		ps = patch.New()
-		for _, e := range r.entries {
-			if e.to > since {
-				ps.Merge(e.set)
-			}
-		}
-	}
-	r.mu.Unlock()
-
-	if fleet.MatchETag(w, req, fleet.PatchETag(epoch, vers)) {
+	if fleet.ServePatches(w, req, log, epoch, r.logger) {
 		r.metrics.patchNotMod.Inc()
-		r.logger.Debug("patches revalidated (304)", "since", since, "version", vers, "requestId", reqID)
-		return
 	}
-	wire := fleet.ToWire(ps, vers)
-	wire.Epoch = epoch
-	r.logger.Debug("patches served", "since", since, "version", vers, "requestId", reqID)
-	fleet.WritePatchSet(w, req, wire)
 }
 
 func (r *Replica) handleTriage(w http.ResponseWriter, req *http.Request) {
@@ -479,12 +409,16 @@ type ReplicaStatus struct {
 func (r *Replica) Status() *ReplicaStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	var vers uint64
+	if r.log != nil {
+		vers = r.log.Version()
+	}
 	return &ReplicaStatus{
 		Build:            version.String(),
 		Upstream:         r.upstreams[r.active],
-		ReplicaVersion:   r.vers,
+		ReplicaVersion:   vers,
 		ReplicaEpoch:     r.epoch,
-		Synced:           r.synced,
+		Synced:           r.log != nil,
 		PatchRequests:    int64(r.metrics.patchReqs.Value()),
 		PatchNotModified: int64(r.metrics.patchNotMod.Value()),
 		Polls:            int64(r.metrics.polls.Value()),

@@ -30,9 +30,6 @@
 // StreamingSink while runs are still executing (emitting EvidenceFlushed
 // per accepted flush), so a live fleet sees the evidence before the
 // session exits and a crash loses at most one flush interval.
-//
-// The legacy entry points in internal/modes are thin deprecated wrappers
-// over this package.
 package engine
 
 import (

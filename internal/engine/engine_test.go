@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -55,9 +56,8 @@ func TestNewValidatesOptions(t *testing.T) {
 	}
 }
 
-// TestSeedZeroHonored is the seed-zero footgun fix: WithSeeds must
-// distinguish "unset" (historical defaults apply) from an explicit
-// zero, which the legacy modes.Options silently remapped.
+// TestSeedZeroHonored: WithSeeds must distinguish "unset" (historical
+// defaults apply) from an explicit zero, which is honored as given.
 func TestSeedZeroHonored(t *testing.T) {
 	var def, zero config
 	for _, o := range []Option{WithMode(ModeIterative)} {
@@ -277,6 +277,42 @@ func TestHistoryFileSinkRoundTrip(t *testing.T) {
 	}
 	if res2.Cumulative.Runs != 4 {
 		t.Fatalf("resumed session ended at %d runs, want 4", res2.Cumulative.Runs)
+	}
+}
+
+func TestPatchFileRoundTrip(t *testing.T) {
+	p := patch.New()
+	p.AddPad(site.ID(0xAA), 6)
+	p.AddDeferral(site.Pair{Alloc: 1, Free: 2}, 33)
+	path := t.TempDir() + "/app.patches"
+	if err := PatchFile(path).Commit(context.Background(), &Evidence{Result: &Result{Patches: p}}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := patch.Decode(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(p) {
+		t.Fatal("round trip mismatch")
+	}
+	var buf bytes.Buffer
+	if err := got.EncodeText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() == 0 {
+		t.Fatal("empty text encoding")
+	}
+}
+
+func TestSavePatchesBadPath(t *testing.T) {
+	ev := &Evidence{Result: &Result{Patches: patch.New()}}
+	if err := PatchFile(string(os.PathSeparator)+"no/such/dir/x").Commit(context.Background(), ev); err == nil {
+		t.Fatal("save to bad path succeeded")
 	}
 }
 

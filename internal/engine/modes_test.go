@@ -1,32 +1,60 @@
-package modes
+package engine
 
 import (
+	"context"
 	"testing"
 
+	"exterminator/internal/correct"
+	"exterminator/internal/diefast"
 	"exterminator/internal/inject"
 	"exterminator/internal/mutator"
+	"exterminator/internal/patch"
 	"exterminator/internal/workloads"
+	"exterminator/internal/xrand"
 )
 
-func espresso() mutator.Program {
-	p, _ := workloads.ByName("espresso", 1)
-	return p
-}
-
-func overflowHook(size int) HookFactory {
-	return func() mutator.Hook {
-		return inject.New(inject.Plan{Kind: inject.Overflow, TriggerAlloc: 700, Size: size, Seed: 17})
+// runMode drives one session over w to completion with the given heap
+// seed and the default program seed, failing the test on any error.
+func runMode(t testing.TB, w Workload, mode Mode, heapSeed uint64, opts ...Option) *Result {
+	t.Helper()
+	sess, err := New(w, append([]Option{WithMode(mode), WithSeeds(heapSeed, 0x9106)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	res, err := sess.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
-func danglingHook() HookFactory {
-	return func() mutator.Hook {
-		return inject.New(inject.Plan{Kind: inject.Dangling, TriggerAlloc: 700, Seed: 23})
+func iterative(t testing.TB, prog mutator.Program, heapSeed uint64, opts ...Option) *IterativeResult {
+	t.Helper()
+	return runMode(t, Batch(prog), ModeIterative, heapSeed, opts...).Iterative
+}
+
+func replicated(t testing.TB, prog mutator.Program, heapSeed uint64, opts ...Option) *ReplicatedResult {
+	t.Helper()
+	return runMode(t, Batch(prog), ModeReplicated, heapSeed, opts...).Replicated
+}
+
+func cumulativeRun(t testing.TB, prog mutator.Program, heapSeed uint64, opts ...Option) *CumulativeResult {
+	t.Helper()
+	return runMode(t, Batch(prog), ModeCumulative, heapSeed, opts...).Cumulative
+}
+
+// TestOptionsDefaults pins the paper's defaults for every knob a
+// session leaves unset.
+func TestOptionsDefaults(t *testing.T) {
+	var c config
+	c.fill()
+	if c.images != 3 || c.maxIterations != 8 || c.replicas != 3 || c.maxRuns != 100 || c.fillProb != 0.5 {
+		t.Fatalf("%+v", c)
 	}
 }
 
 func TestIterativeCleanRun(t *testing.T) {
-	res := Iterative(espresso(), nil, nil, Options{HeapSeed: 1})
+	res := iterative(t, espresso(), 1)
 	if !res.CleanAtStart || res.Corrected || res.GaveUp {
 		t.Fatalf("%s", res)
 	}
@@ -45,7 +73,7 @@ func TestIterativeCorrectsInjectedOverflow(t *testing.T) {
 		// few heap seeds and require at least one full correction.
 		corrected := false
 		for seed := uint64(0); seed < 5 && !corrected; seed++ {
-			res := Iterative(espresso(), nil, overflowHook(size), Options{HeapSeed: uint64(100+size) + seed*977})
+			res := iterative(t, espresso(), uint64(100+size)+seed*977, WithHook(overflowHook(size)))
 			if res.CleanAtStart || !res.Corrected {
 				continue
 			}
@@ -77,7 +105,7 @@ func TestIterativeDanglingWriteCorrection(t *testing.T) {
 		hookFor := func() mutator.Hook {
 			return inject.New(inject.Plan{Kind: inject.Dangling, TriggerAlloc: 300 + trial*150, Seed: trial * 13})
 		}
-		res := Iterative(espresso(), nil, hookFor, Options{HeapSeed: trial * 31})
+		res := iterative(t, espresso(), trial*31, WithHook(hookFor))
 		switch {
 		case res.Corrected:
 			corrected++
@@ -92,7 +120,7 @@ func TestIterativeDanglingWriteCorrection(t *testing.T) {
 }
 
 func TestReplicatedHealthyRun(t *testing.T) {
-	res := Replicated(espresso(), nil, nil, Options{HeapSeed: 5})
+	res := replicated(t, espresso(), 5)
 	if res.ErrorDetected {
 		t.Fatalf("healthy run flagged: %s", res.Detection)
 	}
@@ -107,7 +135,7 @@ func TestReplicatedHealthyRun(t *testing.T) {
 }
 
 func TestReplicatedDetectsAndCorrectsOverflow(t *testing.T) {
-	res := Replicated(espresso(), nil, overflowHook(20), Options{HeapSeed: 6, Replicas: 4})
+	res := replicated(t, espresso(), 6, WithHook(overflowHook(20)), WithReplicas(4))
 	if !res.ErrorDetected {
 		t.Fatal("overflow not detected across replicas")
 	}
@@ -133,7 +161,7 @@ func TestCumulativeIdentifiesInjectedDangling(t *testing.T) {
 		t.Fatal("no injector seed triggers a failure")
 	}
 	hook := func(run int) mutator.Hook { return inject.New(plan) }
-	res := Cumulative(espresso(), nil, hook, Options{HeapSeed: 7, MaxRuns: 80})
+	res := cumulativeRun(t, espresso(), 7, WithRunHook(hook), WithMaxRuns(80))
 	if !res.Identified {
 		t.Fatalf("cumulative mode never identified the dangling error: %s", res.History)
 	}
@@ -143,28 +171,12 @@ func TestCumulativeIdentifiesInjectedDangling(t *testing.T) {
 	t.Logf("identified after %d runs, %d failures (paper: 22–34 runs, ~15 failures)", res.Runs, res.Failures)
 }
 
-// findFailingDanglingPlan searches injector seeds for a dangling fault
-// that actually makes espresso fail (the paper's "run the injector using
-// a random seed until it triggers an error").
-func findFailingDanglingPlan(trigger uint64, maxSeeds uint64) (inject.Plan, bool) {
-	for s := uint64(1); s <= maxSeeds; s++ {
-		plan := inject.Plan{Kind: inject.Dangling, TriggerAlloc: trigger, Seed: s}
-		for heapSeed := uint64(1); heapSeed <= 3; heapSeed++ {
-			out, _ := Verify(espresso(), nil, inject.New(plan), nil, heapSeed*1299709, 0x9106)
-			if out.Bad() {
-				return plan, true
-			}
-		}
-	}
-	return inject.Plan{}, false
-}
-
 func TestCumulativeMozilla(t *testing.T) {
 	// The Mozilla case study (§7.2): nondeterministic workload, cumulative
 	// mode, immediate-trigger scenario.
 	moz := workloads.NewMozilla(8)
 	inputFor := func(run int) []byte { return workloads.MozillaSession(2, true) }
-	res := Cumulative(moz, inputFor, nil, Options{HeapSeed: 8, MaxRuns: 80, VaryProgSeed: true})
+	res := cumulativeRun(t, moz, 8, WithInputFunc(inputFor), WithMaxRuns(80), WithVaryProgSeed(true))
 	if !res.Identified {
 		t.Fatalf("mozilla overflow never identified: %s", res.History)
 	}
@@ -186,14 +198,6 @@ func TestVerifyDetectsResidualBug(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	var o Options
-	o.fill()
-	if o.Images != 3 || o.Replicas != 3 || o.MaxIterations != 8 || o.FillProb != 0.5 {
-		t.Fatalf("%+v", o)
-	}
-}
-
 func TestIterativeCorrectsRealMinimizer(t *testing.T) {
 	// End-to-end on a real algorithm (QM minimizer), not a synthetic
 	// profile: inject an overflow, isolate, patch, verify.
@@ -203,7 +207,7 @@ func TestIterativeCorrectsRealMinimizer(t *testing.T) {
 	}
 	corrected := false
 	for seed := uint64(1); seed <= 8 && !corrected; seed++ {
-		res := Iterative(prog, nil, hookFor, Options{HeapSeed: seed * 104729})
+		res := iterative(t, prog, seed*104729, WithHook(hookFor))
 		if res.Corrected {
 			corrected = true
 			if _, clean := Verify(prog, nil, hookFor(), res.Patches, 0xF00D+seed, 0x9106); !clean {
@@ -219,7 +223,7 @@ func TestIterativeCorrectsRealMinimizer(t *testing.T) {
 func TestReplicatedRealFactorizer(t *testing.T) {
 	// The factorizer is deterministic: replicas agree on healthy runs.
 	prog, _ := workloads.ByName("cfrac-mp", 1)
-	res := Replicated(prog, nil, nil, Options{HeapSeed: 77})
+	res := replicated(t, prog, 77)
 	if res.ErrorDetected {
 		t.Fatalf("healthy factorizer flagged: %s", res.Detection)
 	}
@@ -237,7 +241,7 @@ func TestIterativeCorrectsInjectedUnderflow(t *testing.T) {
 	}
 	corrected := false
 	for seed := uint64(1); seed <= 8 && !corrected; seed++ {
-		res := Iterative(espresso(), nil, hookFor, Options{HeapSeed: seed * 15485863})
+		res := iterative(t, espresso(), seed*15485863, WithHook(hookFor))
 		if !res.Corrected {
 			continue
 		}
@@ -251,5 +255,107 @@ func TestIterativeCorrectsInjectedUnderflow(t *testing.T) {
 	}
 	if !corrected {
 		t.Fatal("underflow never corrected across 8 seeds")
+	}
+}
+
+func TestIterativeEndToEnd(t *testing.T) {
+	prog, _ := workloads.ByName("espresso", 1)
+	res := iterative(t, prog, 41, WithHook(overflowHook(20)))
+	if !res.Corrected && !res.CleanAtStart {
+		t.Fatalf("not corrected: %s", res)
+	}
+}
+
+func TestVerifyCleanWorkload(t *testing.T) {
+	prog, _ := workloads.ByName("cfrac", 1)
+	out, clean := Verify(prog, nil, nil, nil, 42^0xFEEDFACE, 0x9106)
+	if !clean || !out.Completed {
+		t.Fatalf("clean workload not clean: %s", out)
+	}
+}
+
+// TestHistoryFileRoundTrip: a cumulative history survives an encode /
+// decode round trip through a file, and a session resumed from it keeps
+// counting runs.
+func TestHistoryFileRoundTrip(t *testing.T) {
+	path := t.TempDir() + "/h.xtc"
+	prog, _ := workloads.ByName("cfrac", 1)
+	res := cumulativeRun(t, prog, 45, WithMaxRuns(3))
+	if err := HistoryFile(path).Commit(context.Background(), &Evidence{History: res.History}); err != nil {
+		t.Fatal(err)
+	}
+	hist, err := loadHistory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hist.Runs != res.History.Runs {
+		t.Fatalf("runs %d != %d", hist.Runs, res.History.Runs)
+	}
+	// Resume and confirm run accounting continues.
+	res2 := cumulativeRun(t, prog, 45, WithMaxRuns(3), WithHistory(hist))
+	if res2.Runs <= res.Runs {
+		t.Fatalf("resumed run count %d not beyond %d", res2.Runs, res.Runs)
+	}
+	if _, err := loadHistory(t.TempDir() + "/missing"); err == nil {
+		t.Fatal("missing history loaded")
+	}
+}
+
+// TestOnTheFlyPatchReload exercises the paper's deployment story for
+// long-running programs (§3.4, §6.3): a server keeps running on one heap;
+// an error is isolated out-of-band; the correcting allocator reloads the
+// patches without interrupting execution; subsequent allocations are
+// fixed in place.
+func TestOnTheFlyPatchReload(t *testing.T) {
+	squid := workloads.NewSquid()
+	hostile := workloads.SquidHostileInput(200, 100)
+
+	// Derive patches out-of-band (the error isolator process).
+	var patches *patch.Set
+	for seed := uint64(1); seed <= 8; seed++ {
+		ir := iterative(t, squid, seed*7919, WithInput(hostile))
+		if ir.Corrected {
+			patches = ir.Patches
+			break
+		}
+	}
+	if patches == nil {
+		t.Fatal("could not derive squid patches")
+	}
+
+	// The long-running server: ONE heap and allocator across phases.
+	h := diefast.New(diefast.DefaultConfig(), xrand.New(0xBEEF))
+	h.OnError = func(diefast.Event) {} // record only
+	a := correct.New(h)
+	env := mutator.NewEnv(a, h.Space(), xrand.New(4), hostile)
+
+	// Phase 1: unpatched service hits the exploit.
+	out1 := mutator.Run(squid, env)
+	if !out1.Completed {
+		t.Skipf("phase 1 crashed in this layout: %s", out1)
+	}
+	corrupt1 := len(h.Scan(false))
+	if corrupt1 == 0 && len(h.Events()) == 0 {
+		t.Skip("exploit left no visible corruption in this layout")
+	}
+	eventsBefore := len(h.Events())
+
+	// The reload signal: patches applied to the running allocator.
+	a.Reload(patches.Clone())
+
+	// Phase 2: same process, same heap, fresh hostile traffic.
+	env2 := mutator.NewEnv(a, h.Space(), xrand.New(4), hostile)
+	out2 := mutator.Run(squid, env2)
+	if !out2.Completed {
+		t.Fatalf("patched phase crashed: %s", out2)
+	}
+	// Phase 2's overflow must be contained: no new DieFast events and no
+	// new corrupt slots beyond phase 1's residue (which is bad-isolated
+	// and stays visible by design).
+	if got := len(h.Events()); got != eventsBefore {
+		t.Fatalf("new DieFast events after reload: %d -> %d", eventsBefore, got)
+	}
+	if got := len(h.Scan(false)); got > corrupt1 {
+		t.Fatalf("new corruption after reload: %d -> %d", corrupt1, got)
 	}
 }

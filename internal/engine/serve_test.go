@@ -1,4 +1,4 @@
-package modes
+package engine
 
 import (
 	"bytes"
@@ -8,9 +8,14 @@ import (
 	"exterminator/internal/workloads"
 )
 
+func serve(t testing.TB, prog mutator.StreamProgram, chunks [][]byte, heapSeed uint64, opts ...Option) *ServeResult {
+	t.Helper()
+	return runMode(t, Stream(prog), ModeServe, heapSeed, append(opts, WithChunks(chunks))...).Serve
+}
+
 func TestServeHealthyStream(t *testing.T) {
 	chunks := workloads.SquidRequestStream(workloads.SquidBenignInput(120))
-	res := Serve(workloads.NewSquidStream(), chunks, nil, Options{HeapSeed: 3})
+	res := serve(t, workloads.NewSquidStream(), chunks, 3)
 	if len(res.Incidents) != 0 {
 		t.Fatalf("healthy stream had incidents: %+v", res.Incidents)
 	}
@@ -24,6 +29,17 @@ func TestServeHealthyStream(t *testing.T) {
 		if len(out) == 0 {
 			t.Fatalf("chunk %d produced no voted output", i)
 		}
+	}
+}
+
+func TestServeBenignStreamThreeReplicas(t *testing.T) {
+	chunks := workloads.SquidRequestStream(workloads.SquidBenignInput(40))
+	res := serve(t, workloads.NewSquidStream(), chunks, 44, WithReplicas(3))
+	if res.Chunks != len(chunks) {
+		t.Fatalf("served %d of %d", res.Chunks, len(chunks))
+	}
+	if len(res.Incidents) != 0 {
+		t.Fatalf("benign stream had incidents: %+v", res.Incidents)
 	}
 }
 
@@ -41,7 +57,7 @@ func TestServeSurvivesHostileStreamAndPatchesOnline(t *testing.T) {
 	var res *ServeResult
 	detected := false
 	for seed := uint64(1); seed <= 5 && !detected; seed++ {
-		res = Serve(workloads.NewSquidStream(), chunks, nil, Options{HeapSeed: seed * 99991, Replicas: 4})
+		res = serve(t, workloads.NewSquidStream(), chunks, seed*99991, WithReplicas(4))
 		detected = len(res.Incidents) > 0
 	}
 	if !detected {
@@ -79,7 +95,7 @@ func TestServeRestartsCrashedReplica(t *testing.T) {
 	chunks := workloads.SquidRequestStream(raw.Bytes())
 	sawCrash := false
 	for seed := uint64(1); seed <= 10 && !sawCrash; seed++ {
-		res := Serve(workloads.NewSquidStream(), chunks, nil, Options{HeapSeed: seed * 31337, Replicas: 3})
+		res := serve(t, workloads.NewSquidStream(), chunks, seed*31337, WithReplicas(3))
 		if res.Chunks != len(chunks) {
 			t.Fatal("service stopped early")
 		}
@@ -99,7 +115,7 @@ func TestServeRestartsCrashedReplica(t *testing.T) {
 }
 
 func TestServeResultString(t *testing.T) {
-	res := Serve(workloads.NewSquidStream(), nil, nil, Options{HeapSeed: 1})
+	res := serve(t, workloads.NewSquidStream(), nil, 1)
 	if res.String() == "" {
 		t.Fatal("empty string")
 	}
@@ -136,7 +152,7 @@ func TestServeDetectsOutputDivergence(t *testing.T) {
 	for i := range chunks {
 		chunks[i] = []byte("x")
 	}
-	res := Serve(divergentService{}, chunks, nil, Options{HeapSeed: 5, Replicas: 3})
+	res := serve(t, divergentService{}, chunks, 5, WithReplicas(3))
 	if len(res.Incidents) == 0 {
 		t.Fatal("address-dependent output not flagged")
 	}

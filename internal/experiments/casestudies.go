@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"exterminator/internal/modes"
+	"exterminator/internal/engine"
 	"exterminator/internal/mutator"
 	"exterminator/internal/workloads"
 )
@@ -45,7 +45,7 @@ func Squid(attempts int, seed uint64) *SquidResult {
 	input := workloads.SquidHostileInput(200, 100)
 	res := &SquidResult{}
 	for a := 0; a < attempts; a++ {
-		ir := modes.Iterative(prog, input, nil, modes.Options{HeapSeed: seed + uint64(a)*7919})
+		ir := runSession(prog, engine.ModeIterative, seed+uint64(a)*7919, engine.WithInput(input)).Iterative
 		if ir.CleanAtStart {
 			res.Runs++ // one execution that happened not to expose the bug
 			continue
@@ -66,7 +66,7 @@ func Squid(attempts int, seed uint64) *SquidResult {
 				res.Pad = pad
 			}
 		}
-		_, clean := modes.Verify(prog, input, nil, ir.Patches, seed+12345, 0x9106)
+		_, clean := engine.Verify(prog, input, nil, ir.Patches, seed+12345, 0x9106)
 		res.VerifiedClean = clean
 		break
 	}
@@ -107,9 +107,8 @@ func (r *MozillaResult) Rows() []string {
 func Mozilla(seed uint64) *MozillaResult {
 	moz := workloads.NewMozilla(8)
 	run := func(scenario string, inputFor func(run int) []byte, heapSeed uint64) MozillaStudy {
-		cr := modes.Cumulative(moz, inputFor, nil, modes.Options{
-			HeapSeed: heapSeed, MaxRuns: 100, VaryProgSeed: true,
-		})
+		cr := runSession(moz, engine.ModeCumulative, heapSeed, engine.WithMaxRuns(100),
+			engine.WithInputFunc(inputFor), engine.WithVaryProgSeed(true)).Cumulative
 		st := MozillaStudy{Scenario: scenario, Identified: cr.Identified, Runs: cr.Runs}
 		if cr.Findings != nil {
 			st.Sites = len(cr.Findings.Overflows)

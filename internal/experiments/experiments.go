@@ -10,7 +10,13 @@
 // target, and EXPERIMENTS.md records paper-vs-measured for each artifact.
 package experiments
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+
+	"exterminator/internal/engine"
+	"exterminator/internal/mutator"
+)
 
 // Result is the common experiment interface.
 type Result interface {
@@ -51,3 +57,16 @@ func Names() []string {
 }
 
 func row(format string, args ...any) string { return fmt.Sprintf(format, args...) }
+
+// runSession drives one engine session over prog to completion. Every
+// experiment keeps the program seed at 0x9106 and varies only the heap
+// seed, so trials differ in layout, not in program behaviour.
+func runSession(prog mutator.Program, mode engine.Mode, heapSeed uint64, opts ...engine.Option) *engine.Result {
+	opts = append([]engine.Option{engine.WithMode(mode), engine.WithSeeds(heapSeed, 0x9106)}, opts...)
+	sess, err := engine.New(engine.Batch(prog), opts...)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	res, _ := sess.Run(context.Background())
+	return res
+}

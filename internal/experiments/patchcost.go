@@ -7,8 +7,8 @@ import (
 
 	"exterminator/internal/correct"
 	"exterminator/internal/diefast"
+	"exterminator/internal/engine"
 	"exterminator/internal/inject"
-	"exterminator/internal/modes"
 	"exterminator/internal/mutator"
 	"exterminator/internal/patch"
 	"exterminator/internal/site"
@@ -60,7 +60,7 @@ func PatchCost(seed uint64) *PatchCostResult {
 	}
 	var patches *patch.Set
 	for s := uint64(0); s < 6; s++ {
-		ir := modes.Iterative(prog, nil, overflowHook, modes.Options{HeapSeed: seed + s*977})
+		ir := runSession(prog, engine.ModeIterative, seed+s*977, engine.WithHook(overflowHook)).Iterative
 		if ir.Corrected {
 			patches = ir.Patches
 			break
@@ -87,8 +87,8 @@ func PatchCost(seed uint64) *PatchCostResult {
 		foundPlan = planFails(prog, danglingPlan)
 	}
 	if foundPlan {
-		cr := modes.Cumulative(prog, nil, func(int) mutator.Hook { return inject.New(danglingPlan) },
-			modes.Options{HeapSeed: seed * 3, MaxRuns: 80})
+		cr := runSession(prog, engine.ModeCumulative, seed*3, engine.WithMaxRuns(80),
+			engine.WithRunHook(func(int) mutator.Hook { return inject.New(danglingPlan) })).Cumulative
 		if cr.Identified {
 			out, a := runWithPatches(prog, nil, inject.New(danglingPlan), cr.Patches, seed+77)
 			_ = out

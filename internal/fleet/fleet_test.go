@@ -185,6 +185,35 @@ func TestPatchLogCompaction(t *testing.T) {
 	}
 }
 
+// TestPatchLogMirrorsUpstream: a replica's mirror starts at the
+// upstream version and takes deltas that span several upstream versions.
+func TestPatchLogMirrorsUpstream(t *testing.T) {
+	start := patch.New()
+	start.AddPad(0xA, 4)
+	l := NewPatchLogAt(start, 5)
+	if ps, v := l.Since(2); v != 5 || ps.Len() != 1 || ps.Pad(0xA) != 4 {
+		t.Fatalf("poll below the mirror's start: v%d %s, want the full set", v, ps)
+	}
+	if ps, _ := l.Since(5); ps.Len() != 0 {
+		t.Fatalf("poll at the current version returned %d entries", ps.Len())
+	}
+
+	delta := patch.New()
+	delta.AddPad(0xB, 8)
+	l.Advance(delta, 9) // upstream versions 6..9 in one delta
+	stale := patch.New()
+	stale.AddPad(0xC, 1)
+	l.Advance(stale, 9) // not past the current version: ignored
+	for _, since := range []uint64{5, 7} {
+		if ps, v := l.Since(since); v != 9 || !ps.Equal(delta) {
+			t.Fatalf("since=%d: v%d %s, want exactly the spanning delta", since, v, ps)
+		}
+	}
+	if ps, _ := l.Since(4); ps.Len() != 2 || ps.Pad(0xC) != 0 {
+		t.Fatalf("poll below the mirror's start after a delta: %s", ps)
+	}
+}
+
 func TestServerEndToEnd(t *testing.T) {
 	srv := NewServer(ServerOptions{Shards: 4, CorrectEvery: 0})
 	ts := httptest.NewServer(srv.Handler())

@@ -830,31 +830,7 @@ func (s *Server) retainedReports() int {
 }
 
 func (s *Server) handlePatches(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	var since uint64
-	if q := r.URL.Query().Get("since"); q != "" {
-		v, err := strconv.ParseUint(q, 10, 64)
-		if err != nil {
-			http.Error(w, "fleet: bad since: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		since = v
-	}
-	reqID := EchoRequestID(w, r)
-	ps, version := s.log.Since(since)
-	if MatchETag(w, r, PatchETag(s.epoch, version)) {
-		s.logger.Debug("patches revalidated (304)",
-			"since", since, "version", version, "requestId", reqID)
-		return
-	}
-	wire := ToWire(ps, version)
-	wire.Epoch = s.epoch
-	s.logger.Debug("patches served",
-		"since", since, "version", version, "entries", ps.Len(), "requestId", reqID)
-	WritePatchSet(w, r, wire)
+	ServePatches(w, r, s.log, s.epoch, s.logger)
 }
 
 // handleDeltas serves the partition→coordinator evidence feed: the
@@ -867,14 +843,9 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	var since uint64
-	if q := r.URL.Query().Get("since"); q != "" {
-		v, err := strconv.ParseUint(q, 10, 64)
-		if err != nil {
-			http.Error(w, "fleet: bad since: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		since = v
+	since, ok := sinceParam(w, r)
+	if !ok {
+		return
 	}
 	reqID := EchoRequestID(w, r)
 	entries, seq, ok := s.journal.since(since)

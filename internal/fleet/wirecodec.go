@@ -248,13 +248,11 @@ func deltaFromCodec(cd *codec.Delta) *SnapshotDelta {
 	return d
 }
 
-// WritePatchSet answers a patch poll with the codec the request's
+// writePatchSet answers a patch poll with the codec the request's
 // Accept header negotiates: a v2 frame when it names the v2 media
 // type, the v1 JSON document otherwise — which is why a v1 poller's
-// responses stay byte-for-byte what they always were. Shared by every
-// tier that serves GET /v1/patches (fleet server, cluster coordinator,
-// read replicas).
-func WritePatchSet(w http.ResponseWriter, r *http.Request, wire *WirePatchSet) {
+// responses stay byte-for-byte what they always were.
+func writePatchSet(w http.ResponseWriter, r *http.Request, wire *WirePatchSet) {
 	if !AcceptsV2(r.Header.Get("Accept")) {
 		WriteJSON(w, wire)
 		return
@@ -271,7 +269,7 @@ func WritePatchSet(w http.ResponseWriter, r *http.Request, wire *WirePatchSet) {
 }
 
 // WriteSnapshotDelta answers a delta poll with the negotiated codec
-// (see WritePatchSet).
+// (see writePatchSet).
 func WriteSnapshotDelta(w http.ResponseWriter, r *http.Request, d *SnapshotDelta) {
 	if !AcceptsV2(r.Header.Get("Accept")) {
 		WriteJSON(w, d)

@@ -1,6 +1,6 @@
 // SquidStream is the streaming (long-running service) form of the Squid
 // workload: one request per Step, live cache state across steps — the
-// shape modes.Serve (Figure 5) needs.
+// shape engine.ModeServe (Figure 5) needs.
 package workloads
 
 import (
@@ -15,7 +15,7 @@ type SquidStream struct{}
 // NewSquidStream returns the streaming squid.
 func NewSquidStream() SquidStream { return SquidStream{} }
 
-// Name implements modes.StreamProgram (structurally).
+// Name implements mutator.StreamProgram.
 func (SquidStream) Name() string { return "squid-stream" }
 
 // SquidSession is one replica's live cache.
@@ -77,7 +77,7 @@ func (s *SquidSession) Step(chunk []byte) {
 }
 
 // SquidRequestStream splits the batch input format into per-request
-// chunks for modes.Serve.
+// chunks for engine.WithChunks.
 func SquidRequestStream(input []byte) [][]byte {
 	var chunks [][]byte
 	for _, line := range strings.Split(string(input), "\n") {
