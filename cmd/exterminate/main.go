@@ -29,10 +29,10 @@ import (
 	"os/signal"
 	"syscall"
 
+	"exterminator/internal/cluster"
 	"exterminator/internal/cumulative"
 	"exterminator/internal/diefast"
 	"exterminator/internal/engine"
-	"exterminator/internal/fleet"
 	"exterminator/internal/image"
 	"exterminator/internal/inject"
 	"exterminator/internal/mutator"
@@ -168,19 +168,23 @@ func main() {
 		opts = append(opts, engine.WithPatches(p))
 	}
 
-	var fleetSink *fleet.Sink
+	var fleetSink *cluster.Sink
 	// fatalSinks: local file sinks whose failure must fail the process
 	// (an unreachable fleet is a warning; a missing output file is not).
 	fatalSinks := make(map[string]bool)
 	if *fleetURL != "" {
-		fc := fleet.NewClient(*fleetURL, installID(*fleetID))
+		// A single fleetd is a one-node ring: patches, reports and
+		// uploads all go to the same URL.
+		var err error
+		if fleetSink, err = cluster.NewSink(*fleetURL, installID(*fleetID), *fleetURL); err != nil {
+			fatalf("%v", err)
+		}
 		if *fleetToken != "" {
-			fc.SetToken(*fleetToken)
+			fleetSink.SetToken(*fleetToken)
 		}
 		if reg != nil {
-			fc.SetMetrics(reg)
+			fleetSink.SetMetrics(reg)
 		}
-		fleetSink = fleet.NewSink(fc)
 		opts = append(opts, engine.WithSink(fleetSink))
 		if *mode != "cumulative" {
 			fmt.Fprintln(os.Stderr, "exterminate: note: only cumulative mode produces uploadable observations; -fleet will still download patches and report newly derived ones")

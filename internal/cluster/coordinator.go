@@ -12,7 +12,6 @@ import (
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet"
-	"exterminator/internal/report"
 	"exterminator/internal/telemetry"
 	"exterminator/internal/triage"
 	"exterminator/internal/version"
@@ -30,8 +29,6 @@ type CoordinatorOptions struct {
 	// It is also forwarded to the partition clients, so a token-hardened
 	// cluster accepts the coordinator's rebalance drains and backfills.
 	Token string
-	// MaxReports bounds the retained bug-report ring (0 = 128).
-	MaxReports int
 	// Triage configures the coordinator's triage engine (GET /v1/triage
 	// rankings over the merged evidence) and its webhook alerter. The
 	// zero value serves rankings with alerting off. Alert exactly-once
@@ -84,7 +81,7 @@ type CoordinatorOptions struct {
 // reruns the hypothesis test incrementally (only sites whose evidence
 // moved since the last pass are rescored), and serves the fleet-wide
 // patch log over the standard fleet wire protocol — fleet.Client and
-// fleet.Sink poll a coordinator exactly as they would a single fleetd.
+// Sink poll a coordinator exactly as they would a single fleetd.
 type Coordinator struct {
 	cfg   cumulative.Config
 	parts []*partition
@@ -126,12 +123,9 @@ type Coordinator struct {
 	probeFails       int
 	seenPrimaryEpoch atomic.Uint64
 
-	token      string
-	wireV2     bool
-	reportMu   sync.Mutex
-	reports    []*report.Report
-	maxReports int
-	reportSeen atomic.Int64
+	token   string
+	wireV2  bool
+	reports fleet.ReportLog
 
 	reg     *telemetry.Registry
 	metrics coordMetrics
@@ -266,7 +260,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		log:           fleet.NewPatchLog(),
 		start:         time.Now(),
 		token:         opts.Token,
-		maxReports:    opts.MaxReports,
 		rebalPath:     opts.RebalanceJournal,
 		rebalState:    RebalanceState{State: RebalanceIdle},
 		holder:        opts.LeaseHolder,
@@ -280,9 +273,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	}
 	if c.takeoverAfter <= 0 {
 		c.takeoverAfter = leaseProbeDefault
-	}
-	if c.maxReports <= 0 {
-		c.maxReports = 128
 	}
 	c.reg = opts.Metrics
 	if c.reg == nil {
@@ -679,56 +669,12 @@ func (c *Coordinator) handlePatches(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleReports(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		if c.token != "" && !fleet.BearerAuthorized(r, c.token) {
-			w.Header().Set("WWW-Authenticate", `Bearer realm="fleet"`)
-			http.Error(w, "cluster: missing or invalid ingest token", http.StatusUnauthorized)
-			return
-		}
-		var rep report.Report
-		// fleet.DecodeJSONBody, not a plain json.Decoder: fleet.Client
-		// gzips request bodies by default, and the coordinator must accept
-		// exactly what any fleetd accepts.
-		if err := fleet.DecodeJSONBody(w, r, 16<<20, &rep); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// Same retention hygiene as fleetd: sanitize on ingest (paths,
-		// PII, caps) so a re-served report never leaks what a client
-		// forgot to redact, and feed stack provenance to triage.
-		report.Redact(&rep)
-		c.feedTriageFrames(&rep)
-		c.reportSeen.Add(1)
-		c.reportMu.Lock()
-		c.reports = append(c.reports, &rep)
-		if len(c.reports) > c.maxReports {
-			c.reports = append([]*report.Report(nil), c.reports[len(c.reports)-c.maxReports:]...)
-		}
-		c.reportMu.Unlock()
-		fleet.WriteJSON(w, map[string]any{"ok": true})
-	case http.MethodGet:
-		c.reportMu.Lock()
-		out := append([]*report.Report{}, c.reports...)
-		c.reportMu.Unlock()
-		fleet.WriteJSON(w, out)
-	default:
-		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
-	}
-}
-
-// feedTriageFrames records uploaded findings' call stacks with the
-// triage engine so clusters can group by normalized callsite signature
-// instead of falling back to per-site keys.
-func (c *Coordinator) feedTriageFrames(rep *report.Report) {
-	if c.triage == nil {
+	if r.Method == http.MethodPost && c.token != "" && !fleet.BearerAuthorized(r, c.token) {
+		w.Header().Set("WWW-Authenticate", `Bearer realm="fleet"`)
+		http.Error(w, "cluster: missing or invalid ingest token", http.StatusUnauthorized)
 		return
 	}
-	for _, f := range rep.Findings {
-		for _, t := range f.Sites {
-			c.triage.RecordFrames(t.Site, t.Frames)
-		}
-	}
+	fleet.ServeReports(w, r, &c.reports, 16<<20, c.triage)
 }
 
 // ClusterStatus is the coordinator's GET /v1/status body: the standard
@@ -802,7 +748,7 @@ func (c *Coordinator) Status() *ClusterStatus {
 			Runs:        int64(c.merged.Runs),
 			FailedRuns:  int64(c.merged.FailedRuns),
 			CorruptRuns: int64(c.merged.CorruptRuns),
-			Reports:     c.reportSeen.Load(),
+			Reports:     c.reports.Seen(),
 			PatchLen:    c.log.Len(),
 			UptimeSec:   int64(time.Since(c.start).Seconds()),
 			Corrections: c.corrections.Load(),

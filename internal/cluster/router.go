@@ -198,14 +198,6 @@ func (rt *Router) split(s *cumulative.Snapshot) (uint64, map[string]*cumulative.
 	}
 }
 
-// PushHistory uploads a whole local history as one routed batch.
-func (rt *Router) PushHistory(ctx context.Context, h *cumulative.History) (map[string]*fleet.IngestReply, error) {
-	if h == nil {
-		return nil, errors.New("cluster: nil history")
-	}
-	return rt.PushSnapshot(ctx, h.Snapshot())
-}
-
 // Piece is one ring-partitioned share of an upload batch, stamped with
 // its own content-addressed batch ID so partition retries stay
 // idempotent: re-pushing a piece after a lost ack is recognized by that

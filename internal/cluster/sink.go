@@ -14,11 +14,13 @@ import (
 	"exterminator/internal/telemetry"
 )
 
-// Sink is the cluster-aware engine.EvidenceSink: patches download from
-// the coordinator (the merge tier's fleet-wide log), observations upload
-// through the ring-partitioned router, and bug reports go to the
-// coordinator. Like fleet.Sink, uploads are watermarked so resumed
-// histories never double-count.
+// Sink is the engine.EvidenceSink for every fleet deployment: patches
+// download from the coordinator (the merge tier's fleet-wide log),
+// observations upload through the ring-partitioned router, and bug
+// reports go to the coordinator. A single fleetd is a one-node ring:
+// NewSink(url, id, url) pushes each delta whole to that fleetd and
+// fetches patches from it. Uploads are watermarked so resumed histories
+// never double-count.
 type Sink struct {
 	coord  *fleet.Client
 	router *Router
@@ -31,6 +33,7 @@ type Sink struct {
 	mu             sync.Mutex
 	fetchedEntries int
 	fetchedVersion uint64
+	lastIngest     *fleet.IngestReply
 	// pending holds, per partition, a piece that was sent but never
 	// acknowledged. Each is retried verbatim — same content, same batch
 	// ID — before any new delta is cut for that partition, so the
@@ -41,7 +44,9 @@ type Sink struct {
 
 // NewSink returns a sink for a cluster: coordinatorURL serves patches
 // and receives reports; the router spreads observation uploads across
-// the partitions.
+// the partitions. For a single fleetd pass its URL as both. The ring
+// starts at version 0, which a fleetd never rejects as stale, and the
+// membership refresh a fleetd answers with 404 is ignored.
 func NewSink(coordinatorURL, id string, partitions ...string) (*Sink, error) {
 	rt, err := NewRouter(id, partitions...)
 	if err != nil {
@@ -301,7 +306,12 @@ func (s *Sink) pushAll(ctx context.Context, pieces []Piece, errs *[]error) (deli
 		wg.Add(1)
 		go func(p Piece) {
 			defer wg.Done()
-			_, err := s.router.PushPiece(ctx, p)
+			reply, err := s.router.PushPiece(ctx, p)
+			if err == nil {
+				s.mu.Lock()
+				s.lastIngest = reply
+				s.mu.Unlock()
+			}
 			rmu.Lock()
 			defer rmu.Unlock()
 			var sre *fleet.StaleRingError
@@ -325,4 +335,13 @@ func (s *Sink) Fetched() (entries int, version uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.fetchedEntries, s.fetchedVersion
+}
+
+// LastIngest returns the reply to the most recent acknowledged piece
+// (nil before any upload succeeded). Against a single fleetd that is
+// the fleet's state after the last upload.
+func (s *Sink) LastIngest() *fleet.IngestReply {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lastIngest
 }

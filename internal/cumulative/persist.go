@@ -21,9 +21,8 @@ import (
 
 const (
 	persistMagic = 0x48435458 // "XTCH"
-	// Version 2 appends the fleet upload watermark (watermark.go) after
-	// the version-1 payload; version-1 files still decode (with an empty
-	// watermark, i.e. "nothing uploaded yet").
+	// Version 2 carries the fleet upload watermark (watermark.go) after
+	// the evidence. DecodeHistory reads only this version.
 	persistVersion = 2
 )
 
@@ -155,7 +154,7 @@ func DecodeHistory(r io.Reader) (*History, error) {
 		return nil, fmt.Errorf("cumulative: %w", err)
 	}
 	version := u32()
-	if err != nil || version < 1 || version > persistVersion {
+	if err != nil || version != persistVersion {
 		if err == nil {
 			err = fmt.Errorf("unsupported version %d", version)
 		}
@@ -172,7 +171,7 @@ func DecodeHistory(r io.Reader) (*History, error) {
 	if err != nil || nSites > maxEntries {
 		return nil, fmt.Errorf("cumulative: sites: %w", orImplausible(err))
 	}
-	for i := uint32(0); i < nSites; i++ {
+	for i := uint32(0); i < nSites && err == nil; i++ {
 		hist.sites[site.ID(u32())] = true
 	}
 
@@ -222,7 +221,7 @@ func DecodeHistory(r io.Reader) (*History, error) {
 	if err != nil || nPadH > maxEntries {
 		return nil, fmt.Errorf("cumulative: pad hints: %w", orImplausible(err))
 	}
-	for i := uint32(0); i < nPadH; i++ {
+	for i := uint32(0); i < nPadH && err == nil; i++ {
 		s := site.ID(u32())
 		hist.padHint[s] = u32()
 	}
@@ -230,61 +229,60 @@ func DecodeHistory(r io.Reader) (*History, error) {
 	if err != nil || nDefH > maxEntries {
 		return nil, fmt.Errorf("cumulative: deferral hints: %w", orImplausible(err))
 	}
-	for i := uint32(0); i < nDefH; i++ {
+	for i := uint32(0); i < nDefH && err == nil; i++ {
 		p := site.Pair{Alloc: site.ID(u32()), Free: site.ID(u32())}
 		hist.dferHint[p] = u64()
 	}
 
-	if version >= 2 {
-		hist.uploaded.init()
-		m := &hist.uploaded
-		m.runs = int(u32())
-		m.failed = int(u32())
-		m.corrupt = int(u32())
-		nUpSites := u32()
-		if err != nil || nUpSites > maxEntries {
-			return nil, fmt.Errorf("cumulative: watermark sites: %w", orImplausible(err))
-		}
-		for i := uint32(0); i < nUpSites; i++ {
-			m.sites[site.ID(u32())] = true
-		}
-		nUpOvf := u32()
-		if err != nil || nUpOvf > maxEntries {
-			return nil, fmt.Errorf("cumulative: watermark overflow: %w", orImplausible(err))
-		}
-		for i := uint32(0); i < nUpOvf; i++ {
-			s := site.ID(u32())
-			m.overflow[s] = int(u32())
-		}
-		nUpDan := u32()
-		if err != nil || nUpDan > maxEntries {
-			return nil, fmt.Errorf("cumulative: watermark dangling: %w", orImplausible(err))
-		}
-		for i := uint32(0); i < nUpDan; i++ {
-			p := site.Pair{Alloc: site.ID(u32()), Free: site.ID(u32())}
-			m.dangling[p] = int(u32())
-		}
-		nUpPad := u32()
-		if err != nil || nUpPad > maxEntries {
-			return nil, fmt.Errorf("cumulative: watermark pads: %w", orImplausible(err))
-		}
-		for i := uint32(0); i < nUpPad; i++ {
-			s := site.ID(u32())
-			m.pad[s] = u32()
-		}
-		nUpDfer := u32()
-		if err != nil || nUpDfer > maxEntries {
-			return nil, fmt.Errorf("cumulative: watermark deferrals: %w", orImplausible(err))
-		}
-		for i := uint32(0); i < nUpDfer; i++ {
-			p := site.Pair{Alloc: site.ID(u32()), Free: site.ID(u32())}
-			m.dfer[p] = u64()
-		}
-		// A corrupt file could carry a watermark ahead of the evidence it
-		// claims was uploaded; clamping keeps upload deltas non-negative
-		// and guarantees evidence can never be silently un-uploadable.
-		hist.clampWatermark()
+	// Upload watermark.
+	hist.uploaded.init()
+	m := &hist.uploaded
+	m.runs = int(u32())
+	m.failed = int(u32())
+	m.corrupt = int(u32())
+	nUpSites := u32()
+	if err != nil || nUpSites > maxEntries {
+		return nil, fmt.Errorf("cumulative: watermark sites: %w", orImplausible(err))
 	}
+	for i := uint32(0); i < nUpSites && err == nil; i++ {
+		m.sites[site.ID(u32())] = true
+	}
+	nUpOvf := u32()
+	if err != nil || nUpOvf > maxEntries {
+		return nil, fmt.Errorf("cumulative: watermark overflow: %w", orImplausible(err))
+	}
+	for i := uint32(0); i < nUpOvf && err == nil; i++ {
+		s := site.ID(u32())
+		m.overflow[s] = int(u32())
+	}
+	nUpDan := u32()
+	if err != nil || nUpDan > maxEntries {
+		return nil, fmt.Errorf("cumulative: watermark dangling: %w", orImplausible(err))
+	}
+	for i := uint32(0); i < nUpDan && err == nil; i++ {
+		p := site.Pair{Alloc: site.ID(u32()), Free: site.ID(u32())}
+		m.dangling[p] = int(u32())
+	}
+	nUpPad := u32()
+	if err != nil || nUpPad > maxEntries {
+		return nil, fmt.Errorf("cumulative: watermark pads: %w", orImplausible(err))
+	}
+	for i := uint32(0); i < nUpPad && err == nil; i++ {
+		s := site.ID(u32())
+		m.pad[s] = u32()
+	}
+	nUpDfer := u32()
+	if err != nil || nUpDfer > maxEntries {
+		return nil, fmt.Errorf("cumulative: watermark deferrals: %w", orImplausible(err))
+	}
+	for i := uint32(0); i < nUpDfer && err == nil; i++ {
+		p := site.Pair{Alloc: site.ID(u32()), Free: site.ID(u32())}
+		m.dfer[p] = u64()
+	}
+	// A corrupt file could carry a watermark ahead of the evidence it
+	// claims was uploaded; clamping keeps upload deltas non-negative
+	// and guarantees evidence can never be silently un-uploadable.
+	hist.clampWatermark()
 	if err != nil {
 		return nil, fmt.Errorf("cumulative: %w", err)
 	}

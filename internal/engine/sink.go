@@ -56,9 +56,9 @@ type PatchSource interface {
 // quiesced: no run is folding into ev.History concurrently, so
 // implementations may read it freely and use its upload-watermark pair
 // (UploadDelta / MarkUploaded) to cut and acknowledge deltas — that is
-// how fleet.Sink and cluster.Sink upload incrementally, and why a
-// mid-run flush can never double-count against the post-run Commit
-// (Commit sees only what no flush acknowledged). Flush failures are
+// how cluster.Sink uploads incrementally, and why a mid-run flush can
+// never double-count against the post-run Commit (Commit sees only what
+// no flush acknowledged). Flush failures are
 // soft, mirroring Commit: the error lands in Result.SinkErrors and the
 // unflushed evidence rides the next flush or the final Commit.
 //

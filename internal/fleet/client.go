@@ -206,7 +206,7 @@ func (c *Client) PushSnapshot(s *cumulative.Snapshot) (*IngestReply, error) {
 // PushSnapshotContext is PushSnapshot honoring ctx. The batch carries no
 // batch ID, so delivery is at-least-once: a retry after a lost ack is
 // absorbed again. Exactly-once callers stamp their batches with
-// cumulative.BatchID and use PushBatchContext (fleet.Sink does this).
+// cumulative.BatchID and use PushBatchContext (cluster.Sink does this).
 func (c *Client) PushSnapshotContext(ctx context.Context, s *cumulative.Snapshot) (*IngestReply, error) {
 	if s == nil {
 		return nil, fmt.Errorf("fleet: nil snapshot")
@@ -237,22 +237,6 @@ func (c *Client) PushBatchContext(ctx context.Context, b *ObservationBatch) (*In
 
 // ID returns the installation identifier uploads are attributed to.
 func (c *Client) ID() string { return c.id }
-
-// PushHistory uploads a whole local cumulative history as one batch.
-// Upload the *delta* accumulated since the previous push, not the same
-// history repeatedly: the server appends observations (evidence is a
-// multiset, not a lattice).
-func (c *Client) PushHistory(h *cumulative.History) (*IngestReply, error) {
-	return c.PushHistoryContext(context.Background(), h)
-}
-
-// PushHistoryContext is PushHistory honoring ctx.
-func (c *Client) PushHistoryContext(ctx context.Context, h *cumulative.History) (*IngestReply, error) {
-	if h == nil {
-		return nil, fmt.Errorf("fleet: nil history")
-	}
-	return c.PushSnapshotContext(ctx, h.Snapshot())
-}
 
 // PushReport uploads a human-readable bug report.
 func (c *Client) PushReport(r *report.Report) error {

@@ -2,20 +2,16 @@ package fleet
 
 import (
 	"context"
-	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"exterminator/internal/cumulative"
-	"exterminator/internal/engine"
 	"exterminator/internal/site"
 )
 
 // stampedBatch builds an upload with a content-addressed batch ID, the
-// way fleet.Sink cuts one from a history at watermark position (0, 0).
+// way a sink cuts one from a history at watermark position (0, 0).
 func stampedBatch(client string, s *cumulative.Snapshot) *ObservationBatch {
 	return &ObservationBatch{
 		Client:   client,
@@ -113,8 +109,7 @@ func TestDedupWindowBounded(t *testing.T) {
 
 // TestDedupSurvivesSnapshotRestore: the dedup window persists inside the
 // fleet snapshot, so a batch absorbed before a restart and retried after
-// it is still recognized — exactly-once survives crashes. Legacy
-// snapshots (bare cumulative history files) still restore.
+// it is still recognized — exactly-once survives crashes.
 func TestDedupSurvivesSnapshotRestore(t *testing.T) {
 	srv := NewServer(ServerOptions{CorrectEvery: -1})
 	ts := httptest.NewServer(srv.Handler())
@@ -146,102 +141,5 @@ func TestDedupSurvivesSnapshotRestore(t *testing.T) {
 	}
 	if got := restored.Store().Runs(); got != 2 {
 		t.Fatalf("restored server double-counted the retry: runs = %d, want 2", got)
-	}
-
-	// Legacy snapshot: a bare cumulative history file (what SaveSnapshot
-	// wrote before the container format) restores with an empty window.
-	legacy := filepath.Join(t.TempDir(), "legacy.snap")
-	f, err := os.Create(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Store().Combined().Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	fromLegacy := NewServer(ServerOptions{CorrectEvery: -1})
-	if err := fromLegacy.LoadSnapshot(legacy); err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
-	}
-	if got := fromLegacy.Store().Runs(); got != 2 {
-		t.Fatalf("legacy restore lost evidence: runs = %d, want 2", got)
-	}
-}
-
-// lossyAck wraps a handler: while lossy, requests are fully processed
-// (the server absorbs the batch) but the client receives a 500 — the
-// lost-ack failure mode exactly-once ingest exists for.
-type lossyAck struct {
-	mu    sync.Mutex
-	lossy bool
-	inner http.Handler
-}
-
-func (l *lossyAck) set(lossy bool) {
-	l.mu.Lock()
-	l.lossy = lossy
-	l.mu.Unlock()
-}
-
-func (l *lossyAck) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	l.mu.Lock()
-	lossy := l.lossy
-	l.mu.Unlock()
-	if !lossy {
-		l.inner.ServeHTTP(w, r)
-		return
-	}
-	rec := httptest.NewRecorder()
-	l.inner.ServeHTTP(rec, r)
-	http.Error(w, "ack lost", http.StatusInternalServerError)
-}
-
-// TestSinkExactlyOnceAfterLostAck: the sink's first upload is absorbed
-// but the ack is lost; the retried commit re-sends the identical batch,
-// the server dedups it, and the fleet counts the evidence exactly once.
-func TestSinkExactlyOnceAfterLostAck(t *testing.T) {
-	srv := NewServer(ServerOptions{CorrectEvery: -1})
-	la := &lossyAck{inner: srv.Handler(), lossy: true}
-	ts := httptest.NewServer(la)
-	defer ts.Close()
-
-	sink := NewSink(NewClient(ts.URL, "lossy"))
-	hist := cumulative.NewHistory(cumulative.DefaultConfig())
-	hist.Absorb(smallSnapshot(4, 0x500, 0x501))
-	ev := &engine.Evidence{History: hist}
-
-	if err := sink.Commit(context.Background(), ev); err == nil {
-		t.Fatal("commit with a lost ack must report the failure")
-	}
-	if got := srv.Store().Runs(); got != 4 {
-		t.Fatalf("server should have absorbed the batch despite the lost ack: runs = %d", got)
-	}
-	// The watermark must NOT have advanced: the sink has no proof of
-	// delivery, so the evidence stays pending.
-	if d := hist.UploadDelta(); cumulative.DeltaEmpty(d) {
-		t.Fatal("watermark advanced on an unacknowledged upload")
-	}
-
-	la.set(false)
-	if err := sink.Commit(context.Background(), ev); err != nil {
-		t.Fatalf("retry commit: %v", err)
-	}
-	if got := srv.Store().Runs(); got != 4 {
-		t.Fatalf("lost-ack retry double-counted: runs = %d, want 4", got)
-	}
-	if got := srv.Store().Batches(); got != 1 {
-		t.Fatalf("batches = %d, want 1 (retry deduped, not re-absorbed)", got)
-	}
-	if d := hist.UploadDelta(); !cumulative.DeltaEmpty(d) {
-		t.Fatalf("watermark incomplete after acknowledged retry: %+v", d)
-	}
-
-	// New evidence after the recovery flows as a fresh batch.
-	hist.Absorb(smallSnapshot(1, 0x502))
-	if err := sink.Commit(context.Background(), ev); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Store().Runs(); got != 5 {
-		t.Fatalf("follow-up delta lost: runs = %d, want 5", got)
 	}
 }

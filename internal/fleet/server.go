@@ -8,6 +8,7 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -23,7 +24,6 @@ import (
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet/codec"
-	"exterminator/internal/report"
 	"exterminator/internal/site"
 	"exterminator/internal/telemetry"
 	"exterminator/internal/triage"
@@ -42,8 +42,6 @@ type ServerOptions struct {
 	// sitting); negative disables inline correction entirely (background
 	// loop only).
 	CorrectEvery int
-	// MaxReports bounds the retained bug-report ring (0 = 128).
-	MaxReports int
 	// MaxBodyBytes bounds request bodies (0 = 16 MiB).
 	MaxBodyBytes int64
 	// Token, when non-empty, is required as `Authorization: Bearer
@@ -145,10 +143,7 @@ type Server struct {
 	journal *journal
 	deltaMu sync.RWMutex
 
-	reportMu   sync.Mutex
-	reports    []*report.Report
-	maxReports int
-	reportSeen atomic.Int64
+	reports ReportLog
 
 	reg     *telemetry.Registry
 	metrics serverMetrics
@@ -252,7 +247,6 @@ func NewServer(opts ServerOptions) *Server {
 		log:          NewPatchLog(),
 		correctEvery: opts.CorrectEvery,
 		noCorrect:    opts.DisableCorrection,
-		maxReports:   opts.MaxReports,
 		maxBody:      opts.MaxBodyBytes,
 		token:        opts.Token,
 		limiter:      newRateLimiter(opts.RatePerSec, burst),
@@ -263,9 +257,6 @@ func NewServer(opts ServerOptions) *Server {
 		logger:       opts.Logger,
 		start:        time.Now(),
 		epoch:        uint64(time.Now().UnixNano()),
-	}
-	if s.maxReports <= 0 {
-		s.maxReports = 128
 	}
 	if s.maxBody <= 0 {
 		s.maxBody = 16 << 20
@@ -488,23 +479,85 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	}
 	reqID := requestID(r)
 	w.Header().Set(RequestIDHeader, reqID)
+	var in ingest
+	var err error
 	if CodecForContentType(r.Header.Get("Content-Type")) == V2Codec {
-		s.ingestV2(w, r, reqID)
-		return
+		err = s.decodeV2(w, r, &in)
+	} else {
+		err = s.decodeV1(w, r, &in)
 	}
-	var batch ObservationBatch
-	wireBytes, bodyBytes, err := decodeBodyMetered(w, r, s.maxBody, &batch)
-	s.metrics.wireBytes.Add(float64(wireBytes))
-	s.metrics.bodyBytes.Add(float64(bodyBytes))
+	s.metrics.wireBytes.Add(float64(in.wireBytes))
+	s.metrics.bodyBytes.Add(float64(in.bodyBytes))
 	if err != nil {
-		s.logger.Warn("ingest body rejected", "requestId", reqID, "error", err.Error())
+		s.logger.Warn("ingest body rejected", "requestId", reqID, "v2", in.v2, "error", err.Error())
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if batch.Snapshot == nil {
+	if in.parts == nil {
 		http.Error(w, "fleet: batch has no snapshot", http.StatusBadRequest)
 		return
 	}
+	s.admit(w, &in, reqID)
+}
+
+// ingest is one decoded upload, whichever codec carried it: the batch's
+// identity fields plus its evidence already split along the store's
+// shards (parts is nil when the batch carried no snapshot).
+type ingest struct {
+	client, batchID    string
+	ringVersion        uint64
+	parts              []*cumulative.Snapshot
+	runs, observations int
+	v2                 bool // arrived as a v2 frame (else v1 JSON)
+	wireBytes          int64
+	bodyBytes          int64
+}
+
+// decodeV1 decodes a JSON batch into in, splitting its snapshot along
+// the store's shards. The byte counts are set even on error.
+func (s *Server) decodeV1(w http.ResponseWriter, r *http.Request, in *ingest) error {
+	var batch ObservationBatch
+	var err error
+	in.wireBytes, in.bodyBytes, err = decodeBodyMetered(w, r, s.maxBody, &batch)
+	if err != nil || batch.Snapshot == nil {
+		return err
+	}
+	in.client, in.batchID, in.ringVersion = batch.Client, batch.BatchID, batch.RingVersion
+	in.parts = s.store.splitParts(batch.Snapshot)
+	in.runs, in.observations = batch.Snapshot.Runs, SnapshotObservations(batch.Snapshot)
+	return nil
+}
+
+// decodeV2 decodes a binary frame straight into per-shard parts along
+// the store's own stripes (codec.DecodeBatchSharded keyed by
+// Store.ShardIndex): no intermediate merged snapshot and no re-split,
+// and the whole decode runs before deltaMu is touched. The byte counts
+// are set even on error.
+func (s *Server) decodeV2(w http.ResponseWriter, r *http.Request, in *ingest) error {
+	in.v2 = true
+	buf := codec.GetBuffer()
+	defer codec.PutBuffer(buf) // decoded values never alias the frame bytes
+	var err error
+	in.wireBytes, in.bodyBytes, err = readBodyMetered(w, r, s.maxBody, buf)
+	if err != nil {
+		return err
+	}
+	info, parts, err := codec.DecodeBatchSharded(buf.B, s.store.NumShards(), s.store.ShardIndex)
+	if err != nil {
+		return err
+	}
+	in.client, in.batchID, in.ringVersion = info.Client, info.BatchID, info.RingVersion
+	if info.HasSnapshot {
+		in.parts = parts
+	}
+	in.runs, in.observations = info.Runs, info.Observations
+	return nil
+}
+
+// admit is the one ingest admission sequence, identical for every codec:
+// the exactly-once window, the stale-ring fence, then absorb + journal
+// under the shared deltaMu, and the JSON reply.
+func (s *Server) admit(w http.ResponseWriter, in *ingest, reqID string) {
 	// Exactly-once ingest: a batch whose content-addressed ID is already
 	// in the dedup window was absorbed by an earlier delivery whose ack
 	// was lost — acknowledge it (Duplicate set) without re-absorbing.
@@ -513,13 +566,13 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	// check: a retry of a batch absorbed before a rebalance must ack as
 	// a duplicate (its evidence was drained to the new owner), not make
 	// the client re-split and double-deliver it.
-	if batch.BatchID != "" && s.dedup != nil && s.dedup.has(batch.BatchID) {
-		s.ackDuplicate(w, &batch, reqID)
+	if in.batchID != "" && s.dedup != nil && s.dedup.has(in.batchID) {
+		s.ackDuplicate(w, in, reqID)
 		return
 	}
 	// Cheap pre-check; the authoritative stale-ring check runs under the
 	// shared deltaMu below, ordered against the rebalance announcement.
-	if s.writeIfStale(w, &batch, reqID) {
+	if s.writeIfStale(w, in, reqID) {
 		return
 	}
 	// Shared deltaMu: absorbs from many clients stay concurrent, but a
@@ -528,104 +581,29 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	// (raised exclusively) is re-checked here, so no stale batch can slip
 	// in behind a rebalance's drain.
 	s.deltaMu.RLock()
-	if s.writeIfStale(w, &batch, reqID) {
+	if s.writeIfStale(w, in, reqID) {
 		s.deltaMu.RUnlock()
 		return
 	}
-	if batch.BatchID != "" && s.dedup != nil && !s.dedup.admit(batch.BatchID) {
+	if in.batchID != "" && s.dedup != nil && !s.dedup.admit(in.batchID) {
 		s.deltaMu.RUnlock()
-		s.ackDuplicate(w, &batch, reqID)
+		s.ackDuplicate(w, in, reqID)
 		return
 	}
-	s.store.AbsorbSnapshot(batch.Snapshot)
-	seq := s.journal.append(batch.Snapshot, reqID)
+	s.store.AbsorbParts(in.parts)
+	seq := s.journal.appendParts(in.parts, reqID)
 	s.deltaMu.RUnlock()
-	s.store.NoteClient(batch.Client)
-	obs := SnapshotObservations(batch.Snapshot)
+	s.store.NoteClient(in.client)
 	s.metrics.batches.Inc()
-	s.metrics.observations.Add(float64(obs))
-	s.metrics.runs.Add(float64(batch.Snapshot.Runs))
+	if in.v2 {
+		s.metrics.v2Batches.Inc()
+	}
+	s.metrics.observations.Add(float64(in.observations))
+	s.metrics.runs.Add(float64(in.runs))
 	s.logger.Info("ingest absorbed",
-		"requestId", reqID, "batchId", batch.BatchID, "client", batch.Client,
-		"runs", batch.Snapshot.Runs, "observations", obs, "seq", seq,
-		"wireBytes", wireBytes, "bodyBytes", bodyBytes)
-	version := s.log.Version()
-	if n := s.pending.Add(1); s.correctEvery >= 0 && n > int64(s.correctEvery) {
-		version, _ = s.Correct()
-	}
-	WriteJSON(w, IngestReply{
-		OK:          true,
-		RequestID:   reqID,
-		Version:     version,
-		Sites:       s.store.Sites(),
-		Runs:        s.store.Runs(),
-		RingVersion: s.ringVersion.Load(),
-	})
-}
-
-// ingestV2 is the binary-wire ingest path: the frame is decoded
-// straight into per-shard sub-snapshots along the store's own stripes
-// (codec.DecodeBatchSharded keyed by Store.ShardIndex) — no
-// intermediate merged snapshot, no re-split under the ingest lock, and
-// the whole decode runs before deltaMu is even touched, so decoding
-// cost never extends lock hold time. The exactly-once window, the
-// stale-ring fence and the journal discipline are identical to the v1
-// path; only the wire format and the absorb shape differ. Replies stay
-// JSON on every ingest response (success and failure), v2 or not.
-func (s *Server) ingestV2(w http.ResponseWriter, r *http.Request, reqID string) {
-	buf := codec.GetBuffer()
-	wireBytes, bodyBytes, err := readBodyMetered(w, r, s.maxBody, buf)
-	s.metrics.wireBytes.Add(float64(wireBytes))
-	s.metrics.bodyBytes.Add(float64(bodyBytes))
-	if err != nil {
-		codec.PutBuffer(buf)
-		s.logger.Warn("ingest body rejected", "requestId", reqID, "error", err.Error())
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	info, parts, err := codec.DecodeBatchSharded(buf.B, s.store.NumShards(), s.store.ShardIndex)
-	codec.PutBuffer(buf) // decoded values never alias the frame bytes
-	if err != nil {
-		s.logger.Warn("ingest v2 frame rejected", "requestId", reqID, "error", err.Error())
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !info.HasSnapshot {
-		http.Error(w, "fleet: batch has no snapshot", http.StatusBadRequest)
-		return
-	}
-	// stub carries the batch's identity fields through the same dedup /
-	// stale-ring / ack helpers the v1 path uses.
-	stub := &ObservationBatch{Client: info.Client, BatchID: info.BatchID, RingVersion: info.RingVersion}
-	if stub.BatchID != "" && s.dedup != nil && s.dedup.has(stub.BatchID) {
-		s.ackDuplicate(w, stub, reqID)
-		return
-	}
-	if s.writeIfStale(w, stub, reqID) {
-		return
-	}
-	s.deltaMu.RLock()
-	if s.writeIfStale(w, stub, reqID) {
-		s.deltaMu.RUnlock()
-		return
-	}
-	if stub.BatchID != "" && s.dedup != nil && !s.dedup.admit(stub.BatchID) {
-		s.deltaMu.RUnlock()
-		s.ackDuplicate(w, stub, reqID)
-		return
-	}
-	s.store.AbsorbParts(parts)
-	seq := s.journal.appendParts(parts, reqID)
-	s.deltaMu.RUnlock()
-	s.store.NoteClient(info.Client)
-	s.metrics.batches.Inc()
-	s.metrics.v2Batches.Inc()
-	s.metrics.observations.Add(float64(info.Observations))
-	s.metrics.runs.Add(float64(info.Runs))
-	s.logger.Info("ingest absorbed",
-		"requestId", reqID, "batchId", info.BatchID, "client", info.Client,
-		"runs", info.Runs, "observations", info.Observations, "seq", seq,
-		"wireBytes", wireBytes, "bodyBytes", bodyBytes, "wire", "v2")
+		"requestId", reqID, "batchId", in.batchID, "client", in.client,
+		"runs", in.runs, "observations", in.observations, "seq", seq,
+		"wireBytes", in.wireBytes, "bodyBytes", in.bodyBytes, "v2", in.v2)
 	version := s.log.Version()
 	if n := s.pending.Add(1); s.correctEvery >= 0 && n > int64(s.correctEvery) {
 		version, _ = s.Correct()
@@ -642,11 +620,11 @@ func (s *Server) ingestV2(w http.ResponseWriter, r *http.Request, reqID string) 
 
 // ackDuplicate acknowledges a batch the dedup window already holds,
 // without re-absorbing it.
-func (s *Server) ackDuplicate(w http.ResponseWriter, batch *ObservationBatch, reqID string) {
+func (s *Server) ackDuplicate(w http.ResponseWriter, in *ingest, reqID string) {
 	s.deduped.Add(1)
 	s.metrics.dedupHits.Inc()
 	s.logger.Info("ingest duplicate acknowledged",
-		"requestId", reqID, "batchId", batch.BatchID, "client", batch.Client)
+		"requestId", reqID, "batchId", in.batchID, "client", in.client)
 	WriteJSON(w, IngestReply{
 		OK:          true,
 		Duplicate:   true,
@@ -661,15 +639,15 @@ func (s *Server) ackDuplicate(w http.ResponseWriter, batch *ObservationBatch, re
 // writeIfStale rejects a versioned batch split under an older membership
 // than this partition requires (409 + StaleRing), reporting whether it
 // wrote the response. Unversioned batches always pass.
-func (s *Server) writeIfStale(w http.ResponseWriter, batch *ObservationBatch, reqID string) bool {
+func (s *Server) writeIfStale(w http.ResponseWriter, in *ingest, reqID string) bool {
 	cur := s.ringVersion.Load()
-	if batch.RingVersion == 0 || cur == 0 || batch.RingVersion >= cur {
+	if in.ringVersion == 0 || cur == 0 || in.ringVersion >= cur {
 		return false
 	}
 	s.metrics.staleRing.Inc()
 	s.logger.Warn("stale-ring upload rejected",
-		"requestId", reqID, "batchId", batch.BatchID, "client", batch.Client,
-		"batchRingVersion", batch.RingVersion, "requiredRingVersion", cur)
+		"requestId", reqID, "batchId", in.batchID, "client", in.client,
+		"batchRingVersion", in.ringVersion, "requiredRingVersion", cur)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusConflict)
 	json.NewEncoder(w).Encode(IngestReply{StaleRing: true, RequestID: reqID, RingVersion: cur})
@@ -777,56 +755,10 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		if !s.authorize(w, r) {
-			return
-		}
-		var rep report.Report
-		if err := DecodeJSONBody(w, r, s.maxBody, &rep); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// Clients redact before upload; redacting again here keeps the
-		// retained set clean even for hand-rolled uploaders.
-		report.Redact(&rep)
-		s.feedTriageFrames(&rep)
-		s.reportSeen.Add(1)
-		s.reportMu.Lock()
-		s.reports = append(s.reports, &rep)
-		if len(s.reports) > s.maxReports {
-			s.reports = append([]*report.Report(nil), s.reports[len(s.reports)-s.maxReports:]...)
-		}
-		s.reportMu.Unlock()
-		WriteJSON(w, map[string]any{"ok": true, "retained": s.retainedReports()})
-	case http.MethodGet:
-		s.reportMu.Lock()
-		out := append([]*report.Report{}, s.reports...)
-		s.reportMu.Unlock()
-		WriteJSON(w, out)
-	default:
-		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
-	}
-}
-
-// feedTriageFrames hands a report's structured site provenance to the
-// triage engine: recorded call stacks are what upgrade site-hash
-// clusters into signature clusters.
-func (s *Server) feedTriageFrames(rep *report.Report) {
-	if s.triage == nil {
+	if r.Method == http.MethodPost && !s.authorize(w, r) {
 		return
 	}
-	for _, f := range rep.Findings {
-		for _, t := range f.Sites {
-			s.triage.RecordFrames(t.Site, t.Frames)
-		}
-	}
-}
-
-func (s *Server) retainedReports() int {
-	s.reportMu.Lock()
-	defer s.reportMu.Unlock()
-	return len(s.reports)
+	ServeReports(w, r, &s.reports, s.maxBody, s.triage)
 }
 
 func (s *Server) handlePatches(w http.ResponseWriter, r *http.Request) {
@@ -892,11 +824,8 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		if merged == nil {
 			merged = cumulative.NewHistory(s.store.cfg)
 		}
-		if e.snap != nil {
-			merged.Absorb(e.snap)
-		}
-		// v2 uploads are journaled pre-split; Absorb is commutative over
-		// the parts' disjoint key sets, so folding them one by one equals
+		// Uploads are journaled pre-split; Absorb is commutative over the
+		// parts' disjoint key sets, so folding them one by one equals
 		// folding the original batch.
 		for _, p := range e.parts {
 			merged.Absorb(p)
@@ -930,7 +859,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		CorruptRuns: s.store.CorruptRuns(),
 		Batches:     s.store.Batches(),
 		Clients:     s.store.Clients(),
-		Reports:     s.reportSeen.Load(),
+		Reports:     s.reports.Seen(),
 		PatchLen:    s.log.Len(),
 		UptimeSec:   int64(time.Since(s.start).Seconds()),
 		Corrections: s.corrections.Load(),
@@ -962,86 +891,82 @@ func DecodeJSONBody(w http.ResponseWriter, r *http.Request, limit int64, dst any
 // byte/gzip-ratio metrics. Byte counts are valid even on error (they
 // cover whatever was consumed before the failure).
 func decodeBodyMetered(w http.ResponseWriter, r *http.Request, limit int64, dst any) (wireBytes, bodyBytes int64, err error) {
-	wire := &countReader{r: http.MaxBytesReader(w, r.Body, limit)}
-	var body io.Reader = wire
-	gz := false
-	if enc := r.Header.Get("Content-Encoding"); enc != "" {
-		if !strings.EqualFold(enc, "gzip") {
-			return wire.n, wire.n, fmt.Errorf("fleet: unsupported Content-Encoding %q", enc)
+	body, err := openBody(w, r, limit)
+	defer body.close()
+	if err == nil {
+		// Stream straight into the decoder — no full-body buffer.
+		dec := json.NewDecoder(body)
+		if err = dec.Decode(dst); err != nil {
+			err = fmt.Errorf("fleet: decode body: %w", err)
+		} else if dec.More() {
+			err = fmt.Errorf("fleet: decode body: trailing data")
 		}
-		zr, zerr := gzip.NewReader(body)
-		if zerr != nil {
-			return wire.n, 0, fmt.Errorf("fleet: decode gzip body: %w", zerr)
-		}
-		defer zr.Close()
-		// Stream straight into the decoder — no full-body buffer — but
-		// fail as soon as the decompressed stream exceeds the limit.
-		body = &boundedReader{r: zr, remaining: limit + 1, limit: limit}
-		gz = true
 	}
-	decoded := &countReader{r: body}
-	dec := json.NewDecoder(decoded)
-	bytesRead := func() (int64, int64) {
-		if gz {
-			return wire.n, decoded.n
-		}
-		return wire.n, wire.n
-	}
-	if err := dec.Decode(dst); err != nil {
-		wireBytes, bodyBytes = bytesRead()
-		return wireBytes, bodyBytes, fmt.Errorf("fleet: decode body: %w", err)
-	}
-	if dec.More() {
-		wireBytes, bodyBytes = bytesRead()
-		return wireBytes, bodyBytes, fmt.Errorf("fleet: decode body: trailing data")
-	}
-	wireBytes, bodyBytes = bytesRead()
-	return wireBytes, bodyBytes, nil
+	return body.wire.n, body.decoded.n, err
 }
 
-// readBodyMetered reads a raw (non-JSON) request body into buf,
-// applying the same wire/decompression limits and byte accounting as
-// decodeBodyMetered: limit bounds both the compressed bytes and the
-// decompressed expansion, and the returned counts are valid even on
-// error. The v2 ingest path uses it to land a whole binary frame in one
-// pooled buffer before decoding.
+// readBodyMetered reads a raw (non-JSON) request body into buf with
+// the same limits and byte accounting as decodeBodyMetered. The v2
+// ingest path uses it to land a whole binary frame in one pooled
+// buffer before decoding.
 func readBodyMetered(w http.ResponseWriter, r *http.Request, limit int64, buf *codec.Buffer) (wireBytes, bodyBytes int64, err error) {
-	wire := &countReader{r: http.MaxBytesReader(w, r.Body, limit)}
-	var body io.Reader = wire
-	gz := false
-	if enc := r.Header.Get("Content-Encoding"); enc != "" {
-		if !strings.EqualFold(enc, "gzip") {
-			return wire.n, wire.n, fmt.Errorf("fleet: unsupported Content-Encoding %q", enc)
-		}
-		zr, zerr := gzip.NewReader(body)
-		if zerr != nil {
-			return wire.n, 0, fmt.Errorf("fleet: decode gzip body: %w", zerr)
-		}
-		defer zr.Close()
-		body = &boundedReader{r: zr, remaining: limit + 1, limit: limit}
-		gz = true
-	}
-	decoded := &countReader{r: body}
-	for {
+	body, err := openBody(w, r, limit)
+	defer body.close()
+	for err == nil {
 		if len(buf.B) == cap(buf.B) {
 			buf.B = append(buf.B, 0)[:len(buf.B)]
 		}
-		n, rerr := decoded.Read(buf.B[len(buf.B):cap(buf.B)])
+		n, rerr := body.Read(buf.B[len(buf.B):cap(buf.B)])
 		buf.B = buf.B[:len(buf.B)+n]
 		if rerr == io.EOF {
 			break
 		}
 		if rerr != nil {
-			if !gz {
-				return wire.n, wire.n, fmt.Errorf("fleet: read body: %w", rerr)
-			}
-			return wire.n, decoded.n, fmt.Errorf("fleet: read body: %w", rerr)
+			err = fmt.Errorf("fleet: read body: %w", rerr)
 		}
 	}
-	if gz {
-		return wire.n, decoded.n, nil
+	return body.wire.n, body.decoded.n, err
+}
+
+// meteredBody is a request body behind the ingest limits: wire counts
+// the bytes read off the connection (capped at limit by
+// http.MaxBytesReader), decoded the bytes handed to the caller after
+// any gzip decompression (also capped at limit, so a decompression bomb
+// cannot expand past it).
+type meteredBody struct {
+	wire, decoded countReader
+	zr            *gzip.Reader
+}
+
+// openBody is the prelude every metered body read shares. It never
+// returns nil, so the caller can always close it and read its counts,
+// even when the Content-Encoding is refused.
+func openBody(w http.ResponseWriter, r *http.Request, limit int64) (*meteredBody, error) {
+	b := &meteredBody{}
+	b.wire.r = http.MaxBytesReader(w, r.Body, limit)
+	b.decoded.r = &b.wire
+	enc := r.Header.Get("Content-Encoding")
+	if enc == "" {
+		return b, nil
 	}
-	return wire.n, wire.n, nil
+	if !strings.EqualFold(enc, "gzip") {
+		return b, fmt.Errorf("fleet: unsupported Content-Encoding %q", enc)
+	}
+	zr, err := gzip.NewReader(&b.wire)
+	if err != nil {
+		return b, fmt.Errorf("fleet: decode gzip body: %w", err)
+	}
+	b.zr = zr
+	b.decoded.r = &boundedReader{r: zr, remaining: limit + 1, limit: limit}
+	return b, nil
+}
+
+func (b *meteredBody) Read(p []byte) (int, error) { return b.decoded.Read(p) }
+
+func (b *meteredBody) close() {
+	if b.zr != nil {
+		b.zr.Close()
+	}
 }
 
 // countReader counts the bytes read through it.
@@ -1095,10 +1020,8 @@ func WriteJSON(w http.ResponseWriter, v any) {
 // persist format. Persisting the window alongside the evidence is what
 // carries exactly-once ingest across restarts: a batch absorbed before
 // the snapshot and retried after the restore is still recognized as a
-// duplicate. Plain cumulative history files (what SaveSnapshot wrote
-// before the container existed) still load, with an empty window;
-// version-1 containers (pre-rebalancing) load with ring version 0 and an
-// empty evict cache.
+// duplicate. Only the current version loads: an older container, or a
+// bare history file, is refused.
 const (
 	fleetSnapMagic   = 0x4E534658 // "XFSN" little-endian
 	fleetSnapVersion = 2
@@ -1157,8 +1080,7 @@ func (s *Server) SaveSnapshot(path string) error {
 // LoadSnapshot restores evidence (and the dedup window) from a snapshot
 // file written by SaveSnapshot and runs a correction pass so the patch
 // log is warm before the first poll. A missing file is not an error
-// (fresh start); a pre-container file (bare cumulative history) restores
-// with an empty dedup window.
+// (fresh start).
 func (s *Server) LoadSnapshot(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -1222,22 +1144,13 @@ func writeFleetSnapshot(w io.Writer, st fleetSnapState) error {
 	return st.hist.Encode(w)
 }
 
-// readFleetSnapshot decodes a container written by writeFleetSnapshot —
-// any supported version — or a legacy bare cumulative history file
-// (empty window, ring version 0).
+// readFleetSnapshot decodes a container written by writeFleetSnapshot
+// (version fleetSnapVersion only).
 func readFleetSnapshot(r io.Reader) (fleetSnapState, error) {
 	var st fleetSnapState
 	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
-	if err != nil {
-		return st, err
-	}
-	if binary.LittleEndian.Uint32(head) != fleetSnapMagic {
-		st.hist, err = cumulative.DecodeHistory(br)
-		return st, err
-	}
-	var magic, version uint32
-	read := func(v *uint32) {
+	var err error
+	read := func(v any) {
 		if err == nil {
 			err = binary.Read(br, binary.LittleEndian, v)
 		}
@@ -1260,39 +1173,37 @@ func readFleetSnapshot(r io.Reader) (fleetSnapState, error) {
 		}
 		return buf.String()
 	}
+	var magic, version uint32
 	read(&magic)
+	if err == nil && magic != fleetSnapMagic {
+		err = errors.New("bad magic")
+	}
 	read(&version)
+	if err == nil && version != fleetSnapVersion {
+		err = fmt.Errorf("unsupported fleet snapshot version %d", version)
+	}
+	read(&st.ring)
+	var ne uint32
+	read(&ne)
 	if err != nil {
 		return st, err
 	}
-	if version < 1 || version > fleetSnapVersion {
-		return st, fmt.Errorf("unsupported fleet snapshot version %d", version)
+	if ne > maxSnapEvicts {
+		return st, fmt.Errorf("implausible evict cache size %d", ne)
 	}
-	if version >= 2 {
-		if err = binary.Read(br, binary.LittleEndian, &st.ring); err != nil {
-			return st, err
+	for i := uint32(0); err == nil && i < ne; i++ {
+		tok := readStr(1024, "evict token")
+		blob := readStr(maxEvictBytes, "evict snapshot")
+		if err != nil {
+			break
 		}
-		var ne uint32
-		read(&ne)
-		if err == nil && ne > maxSnapEvicts {
-			err = fmt.Errorf("implausible evict cache size %d", ne)
-		}
-		for i := uint32(0); err == nil && i < ne; i++ {
-			tok := readStr(1024, "evict token")
-			blob := readStr(maxEvictBytes, "evict snapshot")
-			if err != nil {
-				break
-			}
-			var snap cumulative.Snapshot
-			if jerr := json.Unmarshal([]byte(blob), &snap); jerr != nil {
-				err = jerr
-				break
-			}
+		var snap cumulative.Snapshot
+		if err = json.Unmarshal([]byte(blob), &snap); err == nil {
 			st.evicts = append(st.evicts, evictEntry{Token: tok, Snap: &snap})
 		}
-		if err != nil {
-			return st, fmt.Errorf("fleet snapshot evict cache: %w", err)
-		}
+	}
+	if err != nil {
+		return st, fmt.Errorf("fleet snapshot evict cache: %w", err)
 	}
 	var n uint32
 	read(&n)

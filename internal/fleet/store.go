@@ -77,18 +77,23 @@ func (st *Store) NumShards() int { return len(st.shards) }
 // split and the store's split are the same split by construction).
 func (st *Store) ShardIndex(id site.ID) int { return st.shardIndex(id) }
 
-// AbsorbSnapshot folds one uploaded snapshot into the store. The snapshot
-// is split into per-shard sub-snapshots; each shard is locked once. Run
-// counters are tracked globally, not per shard.
+// AbsorbSnapshot folds one uploaded snapshot into the store: split
+// along the shards (splitParts), then AbsorbParts.
 func (st *Store) AbsorbSnapshot(s *cumulative.Snapshot) {
 	if s == nil {
 		return
 	}
-	st.runs.Add(int64(s.Runs))
-	st.failedRuns.Add(int64(s.FailedRuns))
-	st.corruptRuns.Add(int64(s.CorruptRuns))
-	st.batches.Add(1)
+	st.AbsorbParts(st.splitParts(s))
+}
 
+// splitParts splits a snapshot into per-shard sub-snapshots by the same
+// rule codec.DecodeBatchSharded applies to a v2 frame: overflow, pad
+// hints and the site set shard by site, dangling evidence and deferral
+// hints by their allocation side, and run counters ride the first
+// non-nil part (part 0 is created for a batch with counters but no
+// evidence). Absorbing or journaling the parts is therefore the same
+// whichever codec carried the batch.
+func (st *Store) splitParts(s *cumulative.Snapshot) []*cumulative.Snapshot {
 	parts := make([]*cumulative.Snapshot, len(st.shards))
 	part := func(i int) *cumulative.Snapshot {
 		if parts[i] == nil {
@@ -116,25 +121,26 @@ func (st *Store) AbsorbSnapshot(s *cumulative.Snapshot) {
 		p := part(st.shardIndex(h.Alloc))
 		p.DeferralHints = append(p.DeferralHints, h)
 	}
-	for i, p := range parts {
-		if p == nil {
-			continue
+	if s.Runs != 0 || s.FailedRuns != 0 || s.CorruptRuns != 0 {
+		carrier := 0
+		for i, p := range parts {
+			if p != nil {
+				carrier = i
+				break
+			}
 		}
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		sh.hist.Absorb(p)
-		sh.mu.Unlock()
+		p := part(carrier)
+		p.Runs, p.FailedRuns, p.CorruptRuns = s.Runs, s.FailedRuns, s.CorruptRuns
 	}
+	return parts
 }
 
-// AbsorbParts folds an upload that was already decoded into per-shard
-// sub-snapshots (codec.DecodeBatchSharded keyed by ShardIndex) — the
-// zero-copy half of the v2 ingest path: no merged snapshot is ever
-// materialized and no re-split happens under load. Run counters may
-// appear on any part (the codec puts them on the first non-nil one);
-// they are summed into the global atomics and stripped before the shard
-// absorb, so shard histories end up byte-identical to the
-// AbsorbSnapshot path.
+// AbsorbParts folds one upload already split into per-shard
+// sub-snapshots (splitParts, or codec.DecodeBatchSharded keyed by
+// ShardIndex) — the one absorb path every ingest takes. Each shard is
+// locked once. Run counters may appear on any part; they are summed
+// into the global atomics (they are tracked globally, not per shard)
+// and stripped before the shard absorb.
 func (st *Store) AbsorbParts(parts []*cumulative.Snapshot) {
 	for _, p := range parts {
 		if p == nil {
