@@ -43,6 +43,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -55,41 +56,71 @@ import (
 	"exterminator/internal/version"
 )
 
+var (
+	addr         = flag.String("addr", ":7077", "listen address")
+	shards       = flag.Int("shards", fleet.DefaultShards, "evidence store stripe count")
+	correctEvery = flag.Int("correct-every", 8, "inline correction pass once more than this many batches are pending (-1: background loop only)")
+	correctInt   = flag.Duration("correct-interval", 2*time.Second, "background correction loop interval")
+	snapshot     = flag.String("snapshot", "", "snapshot file: restored on start, written periodically and on shutdown")
+	snapshotInt  = flag.Duration("snapshot-interval", 30*time.Second, "how often to persist the evidence store (with -snapshot)")
+	priorC       = flag.Float64("c", 4, "Bayesian prior constant c (P(H1) = 1/(cN))")
+	fillP        = flag.Float64("p", 0.5, "canary fill probability p the fleet's heaps use")
+	token        = flag.String("token", "", "shared ingest token: require Authorization: Bearer <token> on write endpoints")
+	rate         = flag.Float64("rate", 0, "per-client observation uploads per second (0: unlimited)")
+	burst        = flag.Int("burst", 0, "rate-limit burst (0: 2x rate)")
+	journalLen   = flag.Int("journal", 0, "evidence journal window in batches for GET /v1/deltas (0: 1024)")
+	dedupLen     = flag.Int("dedup", 0, "exactly-once ingest window: recently absorbed batch IDs retained (0: 4096, negative: disable dedup)")
+	partition    = flag.Bool("partition", false, "run as a cluster partition: store and journal evidence but derive no patches (the coordinator runs the fleet-wide hypothesis test)")
+	coordinator  = flag.String("coordinator", "", "run as cluster coordinator over these comma-separated partition base URLs instead of an evidence store")
+	standby      = flag.Bool("standby", false, "coordinator: start as a warm standby — mirror the partitions but gate the client surface behind 503 until promoted (see docs/OPERATIONS.md, Failover)")
+	primary      = flag.String("primary", "", "standby: primary coordinator base URL to lease-probe; consecutive probe failures trigger self-promotion")
+	takeoverN    = flag.Int("takeover-after", 0, "standby: consecutive failed lease probes before self-promotion (0: 3)")
+	leaseHolder  = flag.String("lease-holder", "", "coordinator: lease-holder name reported in /v1/lease and /v1/status (empty: the listen address)")
+	replica      = flag.String("replica", "", "run as a read replica over these comma-separated coordinator base URLs (primary first, standby after); serves GET /v1/patches and /v1/triage from a cache refreshed every -poll-interval")
+	pollInt      = flag.Duration("poll-interval", 1*time.Second, "coordinator: partition journal poll interval (replica: cache refresh interval)")
+	rebalJournal = flag.String("rebalance-journal", "", "coordinator: crash-safe rebalance journal file; an interrupted drain/backfill is re-driven on start (required for safe live resizes)")
+	alertURL     = flag.String("alert-url", "", "webhook URL for triage alerts: POST a compound alert when a cluster crosses the Bayes or occurrence trigger (empty: alerting off)")
+	alertBayes   = flag.Float64("alert-bayes", 0, "triage alert trigger: pooled log10 Bayes factor a cluster must reach (0: disabled)")
+	alertOccurs  = flag.Int("alert-occurrences", 0, "triage alert trigger: total occurrences a cluster must accumulate (0: disabled)")
+	alertCool    = flag.Duration("alert-cooldown", 0, "minimum gap between webhook alerts for the same cluster (0: 1h)")
+	debugAddr    = flag.String("debug-addr", "", "private listen address for net/http/pprof and /metrics (empty: no debug listener; /metrics is always on the main listener too)")
+	wireV2       = flag.Bool("wire-v2", false, "coordinator/replica: ask upstream tiers for the binary v2 wire protocol (servers that lack it keep answering JSON; the node's own surface always negotiates per request)")
+	logJSON      = flag.Bool("log-json", false, "emit structured logs as JSON lines (default: human-readable text)")
+	logDebug     = flag.Bool("log-debug", false, "log at debug level: per-request read-path lines (patches/deltas/status served) with their X-Request-ID")
+	showVersion  = flag.Bool("version", false, "print build version and exit")
+)
+
+// ignoredFlags lists, per run mode, the flags that mode never reads.
+// One set on the command line is logged whatever its value, so an
+// operator never believes a setting took effect that did not.
+var ignoredFlags = map[string][]string{
+	"single-node": {"lease-holder", "poll-interval", "primary", "rebalance-journal", "standby", "takeover-after", "wire-v2"},
+	"partition": {"alert-bayes", "alert-cooldown", "alert-occurrences", "alert-url", "correct-every", "correct-interval",
+		"lease-holder", "poll-interval", "primary", "rebalance-journal", "standby", "takeover-after", "wire-v2"},
+	// The coordinator has no store of its own and corrects after each
+	// -poll-interval poll.
+	"coordinator": {"burst", "correct-every", "correct-interval", "dedup", "journal", "rate", "shards"},
+	"replica": {"alert-bayes", "alert-cooldown", "alert-occurrences", "alert-url", "burst", "c", "correct-every",
+		"correct-interval", "dedup", "journal", "lease-holder", "p", "primary", "rate", "rebalance-journal", "shards",
+		"snapshot", "snapshot-interval", "standby", "takeover-after"},
+}
+
+// warnIgnoredFlags logs the flags set on fs that mode ignores and
+// returns them as "-name", in lexical order.
+func warnIgnoredFlags(fs *flag.FlagSet, mode string) []string {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(ignoredFlags[mode], f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) > 0 {
+		log.Printf("fleetd: warning: %s ignored in %s mode", strings.Join(set, " "), mode)
+	}
+	return set
+}
+
 func main() {
-	var (
-		addr         = flag.String("addr", ":7077", "listen address")
-		shards       = flag.Int("shards", fleet.DefaultShards, "evidence store stripe count")
-		correctEvery = flag.Int("correct-every", 8, "inline correction pass once more than this many batches are pending (-1: background loop only)")
-		correctWork  = flag.Int("correct-workers", 0, "store stripes identified in parallel per correction pass (0: min(GOMAXPROCS, -shards), 1: serial)")
-		correctInt   = flag.Duration("correct-interval", 2*time.Second, "background correction loop interval")
-		snapshot     = flag.String("snapshot", "", "snapshot file: restored on start, written periodically and on shutdown")
-		snapshotInt  = flag.Duration("snapshot-interval", 30*time.Second, "how often to persist the evidence store (with -snapshot)")
-		priorC       = flag.Float64("c", 4, "Bayesian prior constant c (P(H1) = 1/(cN))")
-		fillP        = flag.Float64("p", 0.5, "canary fill probability p the fleet's heaps use")
-		token        = flag.String("token", "", "shared ingest token: require Authorization: Bearer <token> on write endpoints")
-		rate         = flag.Float64("rate", 0, "per-client observation uploads per second (0: unlimited)")
-		burst        = flag.Int("burst", 0, "rate-limit burst (0: 2x rate)")
-		journalLen   = flag.Int("journal", 0, "evidence journal window in batches for GET /v1/deltas (0: 1024)")
-		dedupLen     = flag.Int("dedup", 0, "exactly-once ingest window: recently absorbed batch IDs retained (0: 4096, negative: disable dedup)")
-		partition    = flag.Bool("partition", false, "run as a cluster partition: store and journal evidence but derive no patches (the coordinator runs the fleet-wide hypothesis test)")
-		coordinator  = flag.String("coordinator", "", "run as cluster coordinator over these comma-separated partition base URLs instead of an evidence store")
-		standby      = flag.Bool("standby", false, "coordinator: start as a warm standby — mirror the partitions but gate the client surface behind 503 until promoted (see docs/OPERATIONS.md, Failover)")
-		primary      = flag.String("primary", "", "standby: primary coordinator base URL to lease-probe; consecutive probe failures trigger self-promotion")
-		takeoverN    = flag.Int("takeover-after", 0, "standby: consecutive failed lease probes before self-promotion (0: 3)")
-		leaseHolder  = flag.String("lease-holder", "", "coordinator: lease-holder name reported in /v1/lease and /v1/status (empty: the listen address)")
-		replica      = flag.String("replica", "", "run as a read replica over these comma-separated coordinator base URLs (primary first, standby after); serves GET /v1/patches and /v1/triage from a cache refreshed every -poll-interval")
-		pollInt      = flag.Duration("poll-interval", 1*time.Second, "coordinator: partition journal poll interval (replica: cache refresh interval)")
-		rebalJournal = flag.String("rebalance-journal", "", "coordinator: crash-safe rebalance journal file; an interrupted drain/backfill is re-driven on start (required for safe live resizes)")
-		alertURL     = flag.String("alert-url", "", "webhook URL for triage alerts: POST a compound alert when a cluster crosses the Bayes or occurrence trigger (empty: alerting off)")
-		alertBayes   = flag.Float64("alert-bayes", 0, "triage alert trigger: pooled log10 Bayes factor a cluster must reach (0: disabled)")
-		alertOccurs  = flag.Int("alert-occurrences", 0, "triage alert trigger: total occurrences a cluster must accumulate (0: disabled)")
-		alertCool    = flag.Duration("alert-cooldown", 0, "minimum gap between webhook alerts for the same cluster (0: 1h)")
-		debugAddr    = flag.String("debug-addr", "", "private listen address for net/http/pprof and /metrics (empty: no debug listener; /metrics is always on the main listener too)")
-		wireV2       = flag.Bool("wire-v2", false, "coordinator/replica: ask upstream tiers for the binary v2 wire protocol (servers that lack it keep answering JSON; the node's own surface always negotiates per request)")
-		logJSON      = flag.Bool("log-json", false, "emit structured logs as JSON lines (default: human-readable text)")
-		logDebug     = flag.Bool("log-debug", false, "log at debug level: per-request read-path lines (patches/deltas/status served) with their X-Request-ID")
-		showVersion  = flag.Bool("version", false, "print build version and exit")
-	)
 	flag.Parse()
 
 	if *showVersion {
@@ -129,6 +160,7 @@ func main() {
 		if *partition || *coordinator != "" {
 			log.Fatal("fleetd: -replica is exclusive with -partition/-coordinator: a replica is a stateless read cache in front of the merge tier")
 		}
+		warnIgnoredFlags(flag.CommandLine, "replica")
 		runReplica(ctx, *addr, *replica, *token, *pollInt, *wireV2, reg, logger)
 		return
 	}
@@ -140,14 +172,7 @@ func main() {
 		if *standby && *primary == "" {
 			log.Print("fleetd: warning: -standby without -primary never promotes automatically (only POST /v1/lease)")
 		}
-		// The coordinator has no evidence store of its own; surface any
-		// store-only flags instead of silently ignoring them.
-		if *rate != 0 || *burst != 0 {
-			log.Print("fleetd: warning: -rate/-burst are ignored in coordinator mode (rate-limit the partitions)")
-		}
-		if *shards != fleet.DefaultShards || *journalLen != 0 || *correctEvery != 8 || *dedupLen != 0 || *correctWork != 0 {
-			log.Print("fleetd: warning: -shards/-journal/-correct-every/-correct-workers/-dedup are ignored in coordinator mode")
-		}
+		warnIgnoredFlags(flag.CommandLine, "coordinator")
 		holder := *leaseHolder
 		if holder == "" {
 			holder = *addr
@@ -157,32 +182,24 @@ func main() {
 			*pollInt, *snapshot, *snapshotInt, *rebalJournal, *wireV2, ha, triageCfg, reg, logger)
 		return
 	}
-	if *rebalJournal != "" {
-		log.Print("fleetd: warning: -rebalance-journal is ignored outside coordinator mode")
-	}
-	if *standby || *primary != "" || *takeoverN != 0 || *leaseHolder != "" {
-		log.Print("fleetd: warning: -standby/-primary/-takeover-after/-lease-holder are ignored outside coordinator mode")
-	}
-
 	if *partition {
 		log.Print("fleetd: partition mode: evidence store + journal only; patch derivation is the coordinator's job")
-		if *alertURL != "" {
-			log.Print("fleetd: warning: -alert-url is ignored in partition mode (the coordinator ranks and alerts over the merged pool)")
-		}
+		warnIgnoredFlags(flag.CommandLine, "partition")
+	} else {
+		warnIgnoredFlags(flag.CommandLine, "single-node")
 	}
 	srv := fleet.NewServer(fleet.ServerOptions{
-		Shards:         *shards,
-		Config:         cumulative.Config{C: *priorC, P: *fillP},
-		CorrectEvery:   *correctEvery,
-		CorrectWorkers: *correctWork,
-		Token:          *token,
-		RatePerSec:     *rate,
-		RateBurst:      *burst,
-		JournalLen:     *journalLen,
-		DedupWindow:    *dedupLen,
-		Triage:         triageCfg,
-		Metrics:        reg,
-		Logger:         logger,
+		Shards:       *shards,
+		Config:       cumulative.Config{C: *priorC, P: *fillP},
+		CorrectEvery: *correctEvery,
+		Token:        *token,
+		RatePerSec:   *rate,
+		RateBurst:    *burst,
+		JournalLen:   *journalLen,
+		DedupWindow:  *dedupLen,
+		Triage:       triageCfg,
+		Metrics:      reg,
+		Logger:       logger,
 		// See ServerOptions.DisableCorrection: a partition's local N
 		// would understate the Bayesian prior, so the server itself
 		// refuses to derive patches in this mode.
@@ -201,7 +218,7 @@ func main() {
 		go srv.RunCorrectionLoop(ctx, *correctInt)
 	}
 	if *snapshot != "" {
-		go snapshotLoop(ctx, srv, *snapshot, *snapshotInt)
+		go snapshotLoop(ctx, *snapshot, *snapshotInt, srv.Store().Batches, srv.SaveSnapshot)
 	}
 
 	serve(ctx, *addr, srv.Handler(), "fleetd")
@@ -288,7 +305,7 @@ func runCoordinator(ctx context.Context, addr, partitions, token string, cfg cum
 		role, ha.holder, len(boot.Nodes), boot.MembershipVersion, strings.Join(boot.Nodes, ", "))
 	go coord.Run(ctx, pollInt)
 	if snapshot != "" {
-		go coordinatorSnapshotLoop(ctx, coord, snapshot, snapshotInt)
+		go snapshotLoop(ctx, snapshot, snapshotInt, func() int64 { return coord.Status().Polls }, coord.SaveSnapshot)
 	}
 
 	serve(ctx, addr, coord.Handler(), "fleetd (coordinator)")
@@ -339,31 +356,6 @@ func runReplica(ctx context.Context, addr, upstreams, token string, pollInt time
 		st.Polls, st.PollErrors, st.ReplicaVersion, st.ReplicaEpoch, st.PatchRequests, st.PatchNotModified)
 }
 
-// coordinatorSnapshotLoop persists the coordinator's mirrors every
-// interval while new poll rounds have landed.
-func coordinatorSnapshotLoop(ctx context.Context, coord *cluster.Coordinator, path string, interval time.Duration) {
-	if interval <= 0 {
-		interval = 30 * time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	var lastPolls int64
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if n := coord.Status().Polls; n != lastPolls {
-				if err := coord.SaveSnapshot(path); err != nil {
-					log.Printf("fleetd: coordinator snapshot: %v", err)
-					continue
-				}
-				lastPolls = n
-			}
-		}
-	}
-}
-
 // serveDebug runs the private profiling listener (-debug-addr):
 // net/http/pprof plus /metrics. Kept off the public mux so profiling
 // endpoints are only reachable where the operator pointed them.
@@ -408,26 +400,28 @@ func serve(ctx context.Context, addr string, handler http.Handler, name string) 
 	}
 }
 
-// snapshotLoop persists the evidence store every interval. The final
-// snapshot on shutdown is written by main after the HTTP server drains.
-func snapshotLoop(ctx context.Context, srv *fleet.Server, path string, interval time.Duration) {
+// snapshotLoop calls save(path) every interval while progress (a
+// monotonic count of absorbed batches or poll rounds) has moved since
+// the last successful save. The final snapshot on shutdown is written by
+// the caller after the HTTP server drains.
+func snapshotLoop(ctx context.Context, path string, interval time.Duration, progress func() int64, save func(string) error) {
 	if interval <= 0 {
 		interval = 30 * time.Second
 	}
 	t := time.NewTicker(interval)
 	defer t.Stop()
-	var lastBatches int64
+	var last int64
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			if n := srv.Store().Batches(); n != lastBatches {
-				if err := srv.SaveSnapshot(path); err != nil {
+			if n := progress(); n != last {
+				if err := save(path); err != nil {
 					log.Printf("fleetd: snapshot: %v", err)
 					continue
 				}
-				lastBatches = n
+				last = n
 			}
 		}
 	}

@@ -34,7 +34,8 @@ var LockOrder = []LockRank{
 	{Class: "cluster.Coordinator.rebalMu", Doc: "serializes rebalance plans; held across announce/drain/backfill/commit"},
 	{Class: "cluster.Coordinator.pollMu", Doc: "serializes poll passes (Run loop vs manual Sync vs frozen rebalance)"},
 	{Class: "engine.Session.histMu", Doc: "session cumulative history: run-loop collector vs mid-run flusher"},
-	{Class: "cluster.Coordinator.mu", Doc: "coordinator merge state: partition mirrors, merged history, membership"},
+	{Class: "fleet.Corrector.mu", Doc: "serializes correction passes (O(dirty-keys) identify, patch fold, triage) on fleetd and the coordinator; the coordinator's pass takes Coordinator.mu to rebuild its store"},
+	{Class: "cluster.Coordinator.mu", Doc: "coordinator merge state: partition mirrors, evidence-store pointer and rebuild flag, membership"},
 	{Class: "cluster.Sink.mu", Doc: "cluster sink flush state: pending pieces, upload watermark"},
 	{Class: "engine.Session.emitMu", Doc: "orders observer event delivery"},
 	// —— client / router scope ——
@@ -43,11 +44,10 @@ var LockOrder = []LockRank{
 	{Class: "fleet.Client.mu", Doc: "upload client request-id/backoff/failover state: active base, last epoch, ETag"},
 	{Class: "cluster.Replica.mu", Doc: "read-replica cache: mirrored patch-log pointer and epoch, triage body; poll I/O happens before it is taken, responses are written after release"},
 	// —— partition / server scope ——
-	{Class: "fleet.Server.correctMu", Doc: "serializes correction passes (O(dirty-sites) identify+patch)"},
 	{Class: "fleet.Server.deltaMu", Doc: "partition delta/journal window, ring-version raises, snapshot capture"},
 	{Class: "fleet.ReportLog.mu", Doc: "bounded bug-report ring behind /v1/reports (fleetd and coordinator)"},
 	// —— triage scope ——
-	{Class: "triage.Engine.mu", Doc: "triage cluster table and rankings; taken by correction passes (under correctMu or after the coordinator's mu is released) and /v1/triage reads"},
+	{Class: "triage.Engine.mu", Doc: "triage cluster table and rankings; taken by correction passes (under Corrector.mu) and /v1/triage reads"},
 	{Class: "triage.Alerter.mu", Doc: "webhook exactly-once state: fired records and pending queue; armed under Engine.mu, drained lock-free of it — delivery POSTs hold no lock"},
 	// —— storage leaves ——
 	{Class: "fleet.Store.clientMu", Doc: "per-client run-counter ownership"},

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -453,4 +454,138 @@ func TestCoordinatorToleratesPartitionOutage(t *testing.T) {
 	if got := coord.Status().Runs; got != 18 {
 		t.Fatalf("recovered partition's evidence missing: runs %d, want 18", got)
 	}
+}
+
+// TestCoordinatorRebuildMatchesSingleFleetd drives the coordinator's
+// slow path — its evidence store rebuilt from the partition mirrors —
+// twice: after a partition restart (a full resync replaces one mirror)
+// and after a rebalance (ordered deltas evict and backfill keys). After
+// each, the coordinator must match a single fleetd fed the same batches
+// and run through the same number of passes: canonical patch bytes, the
+// GET /v1/triage body, and the status totals.
+func TestCoordinatorRebuildMatchesSingleFleetd(t *testing.T) {
+	ctx := context.Background()
+	cfg := cumulative.DefaultConfig()
+
+	single := fleet.NewServer(fleet.ServerOptions{Config: cfg, CorrectEvery: -1})
+	singleTS := httptest.NewServer(single.Handler())
+	defer singleTS.Close()
+	singleClient := fleet.NewClient(singleTS.URL, "single")
+
+	newPartition := func() *fleet.Server {
+		return fleet.NewServer(fleet.ServerOptions{Config: cfg, CorrectEvery: -1, DisableCorrection: true})
+	}
+	var parts []*fleet.Server
+	var handlers []*swappable
+	var partURLs []string
+	for i := 0; i < 4; i++ {
+		srv := newPartition()
+		sw := &swappable{}
+		sw.set(srv.Handler())
+		ts := httptest.NewServer(sw)
+		defer ts.Close()
+		parts = append(parts, srv)
+		handlers = append(handlers, sw)
+		partURLs = append(partURLs, ts.URL)
+	}
+	router, err := NewRouter("routed", partURLs[:3]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(CoordinatorOptions{Partitions: partURLs[:3], Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(coord.Handler())
+	defer coordTS.Close()
+
+	rng := rand.New(rand.NewSource(23))
+	push := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			batch := testBatch(rng)
+			if _, err := singleClient.PushSnapshot(batch); err != nil {
+				t.Fatalf("single push: %v", err)
+			}
+			if _, err := router.PushSnapshot(ctx, batch); err != nil {
+				t.Fatalf("routed push: %v", err)
+			}
+		}
+	}
+	rebuilds := func() string {
+		var b strings.Builder
+		if err := coord.Metrics().WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return sampleValue(b.String(), "cluster_merged_rebuilds_total")
+	}
+	match := func(phase string) {
+		t.Helper()
+		if got, want := canonicalPatchBytes(t, coord.PatchLog()), canonicalPatchBytes(t, single.PatchLog()); !bytes.Equal(got, want) {
+			t.Fatalf("%s: patch set diverged:\ncluster: %s\nsingle:  %s", phase, got, want)
+		}
+		if got, want := getBytes(t, coordTS.URL+"/v1/triage?limit=200"), getBytes(t, singleTS.URL+"/v1/triage?limit=200"); !bytes.Equal(got, want) {
+			t.Fatalf("%s: triage rankings diverged:\ncluster: %s\nsingle:  %s", phase, got, want)
+		}
+		st, ss := coord.Status(), single.Store()
+		if st.Sites != ss.Sites() || st.Runs != ss.Runs() || st.DirtyKeys != ss.DirtyKeys() {
+			t.Fatalf("%s: status sites/runs/dirty = %d/%d/%d, single = %d/%d/%d",
+				phase, st.Sites, st.Runs, st.DirtyKeys, ss.Sites(), ss.Runs(), ss.DirtyKeys())
+		}
+	}
+
+	push(30)
+	if err := singleClient.PushReport(triageReport()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fleet.NewClient(coordTS.URL, "reporter").PushReport(triageReport()); err != nil {
+		t.Fatal(err)
+	}
+	single.Correct()
+	if _, err := coord.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	match("initial")
+	before := rebuilds()
+
+	// Partition restart: snapshot, restore into a fresh server (new
+	// epoch, invalidated journal), swap it in behind the same URL. The
+	// next poll full-resyncs that mirror and the pass rebuilds the store.
+	push(10)
+	snapPath := filepath.Join(t.TempDir(), "part0.snap")
+	if err := parts[0].SaveSnapshot(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	parts[0] = newPartition()
+	if err := parts[0].LoadSnapshot(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	handlers[0].set(parts[0].Handler())
+	single.Correct()
+	if _, err := coord.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if coord.Status().Resyncs == 0 {
+		t.Fatal("partition restart caused no resync")
+	}
+	if after := rebuilds(); after == before {
+		t.Fatalf("partition restart did not rebuild the store (rebuilds %s)", after)
+	}
+	match("after partition restart")
+	before = rebuilds()
+
+	// Rebalance: grow 3 → 4. The drain and backfill arrive as ordered
+	// deltas; the rebalance's closing pass rebuilds the store.
+	push(10)
+	if _, err := coord.AddNode(ctx, partURLs[3]); err != nil {
+		t.Fatal(err)
+	}
+	single.Correct()
+	if after := rebuilds(); after == before {
+		t.Fatalf("rebalance did not rebuild the store (rebuilds %s)", after)
+	}
+	if parts[3].Store().Sites() == 0 {
+		t.Fatal("rebalance moved no evidence to the new partition")
+	}
+	match("after rebalance")
 }

@@ -30,7 +30,7 @@ type CoordinatorOptions struct {
 	// cluster accepts the coordinator's rebalance drains and backfills.
 	Token string
 	// Triage configures the coordinator's triage engine (GET /v1/triage
-	// rankings over the merged evidence) and its webhook alerter. The
+	// rankings over the pooled evidence) and its webhook alerter. The
 	// zero value serves rankings with alerting off. Alert exactly-once
 	// state rides in the coordinator snapshot (SaveSnapshot), so a
 	// restart neither re-fires nor drops an armed alert.
@@ -77,11 +77,12 @@ type CoordinatorOptions struct {
 }
 
 // Coordinator is the cluster's merge tier. It mirrors every partition's
-// evidence journal through GET /v1/deltas, maintains one merged history,
-// reruns the hypothesis test incrementally (only sites whose evidence
-// moved since the last pass are rescored), and serves the fleet-wide
-// patch log over the standard fleet wire protocol — fleet.Client and
-// Sink poll a coordinator exactly as they would a single fleetd.
+// evidence journal through GET /v1/deltas, folds the deltas into one
+// fleet.Store, runs the same correction pass as a single fleetd
+// (fleet.Corrector: incremental identify → patch fold → triage), and
+// serves the fleet-wide patch log over the standard fleet wire protocol
+// — fleet.Client and Sink poll a coordinator exactly as they would a
+// single fleetd.
 type Coordinator struct {
 	cfg   cumulative.Config
 	parts []*partition
@@ -89,8 +90,8 @@ type Coordinator struct {
 
 	pollMu  sync.Mutex // serializes PollOnce (Run loop vs manual Sync)
 	mu      sync.Mutex
-	merged  *cumulative.History
-	rebuild bool // a partition resynced; merged must be rebuilt from mirrors
+	store   atomic.Pointer[fleet.Store] // pooled evidence; swapped under mu, read lock-free by gauges
+	rebuild bool                        // a mirror was replaced; store must be rebuilt from mirrors
 
 	// Rebalance state: rebalMu serializes Rebalance/ResumeRebalance,
 	// rebalPath is the two-phase journal, rebalState is reported in
@@ -101,12 +102,12 @@ type Coordinator struct {
 	rebalState         RebalanceState
 	testRebalanceCrash func(stage string) error
 
-	log         *fleet.PatchLog
-	triage      *triage.Engine
-	start       time.Time
-	polls       atomic.Int64
-	resyncs     atomic.Int64
-	corrections atomic.Int64
+	log       *fleet.PatchLog
+	triage    *triage.Engine
+	corrector *fleet.Corrector
+	start     time.Time
+	polls     atomic.Int64
+	resyncs   atomic.Int64
 
 	// Failover state: epoch stamps every patch response (rises across
 	// failovers — clients reject anything lower than they have seen);
@@ -139,25 +140,18 @@ type Coordinator struct {
 // membership changes — GaugeFunc replacement keeps a re-added
 // partition's series bound to its live state.
 type coordMetrics struct {
-	polls       *telemetry.Counter
-	resyncs     *telemetry.Counter
-	deltas      *telemetry.Counter
-	deltaObs    *telemetry.Counter
-	rebuilds    *telemetry.Counter
-	corrections *telemetry.Counter
-	patchPolls  *telemetry.Counter
-	movedKeys   *telemetry.Counter
-	correctSec  *telemetry.Histogram
-	// Merged-history state is mirrored into plain gauges at the end of
-	// every mutation (pollLocked, Correct, membership changes) instead of
-	// being read through scrape-time funcs: a gauge func would take c.mu,
-	// making a /metrics scrape block for the full duration of a
-	// correction pass — and the exposition path must never contend with
-	// the poll/correct path.
-	mergedSites *telemetry.Gauge
-	mergedRuns  *telemetry.Gauge
-	dirtyKeys   *telemetry.Gauge
-	partitions  *telemetry.Gauge
+	polls      *telemetry.Counter
+	resyncs    *telemetry.Counter
+	deltas     *telemetry.Counter
+	deltaObs   *telemetry.Counter
+	rebuilds   *telemetry.Counter
+	patchPolls *telemetry.Counter
+	movedKeys  *telemetry.Counter
+	correction fleet.CorrectorMetrics
+	// partitions is set wherever the poll set changes: a gauge func
+	// would take c.mu, and the exposition path must never contend with
+	// the poll path.
+	partitions *telemetry.Gauge
 	// Failover instruments: primaryG mirrors the lease role (1 =
 	// primary) so dashboards can alert on "no primary" or "two
 	// primaries" across a pair's scrapes.
@@ -178,9 +172,9 @@ func (m *coordMetrics) register(reg *telemetry.Registry, c *Coordinator) {
 	m.deltaObs = reg.Counter("cluster_delta_observations_total",
 		"Individual observations mirrored from partitions via deltas (the coordinator's ingest volume).")
 	m.rebuilds = reg.Counter("cluster_merged_rebuilds_total",
-		"Merged-history rebuilds from the partition mirrors (the post-resync/rebalance slow path).")
-	m.corrections = reg.Counter("cluster_corrections_total",
-		"Correction passes over the merged evidence.")
+		"Evidence-store rebuilds from the partition mirrors (the post-resync/rebalance slow path).")
+	m.correction.Passes = reg.Counter("cluster_corrections_total",
+		"Correction passes over the pooled evidence.")
 	m.patchPolls = reg.Counter("cluster_patch_polls_total",
 		"GET /v1/patches requests served (writer patch-poll fan-in).")
 	m.movedKeys = reg.Counter("cluster_rebalance_moved_keys_total",
@@ -195,32 +189,28 @@ func (m *coordMetrics) register(reg *telemetry.Registry, c *Coordinator) {
 		"Standby promotions to primary (epoch handoffs).")
 	m.primaryG = reg.Gauge("cluster_primary",
 		"1 while this coordinator holds the lease (serves the client-facing surface), 0 while standing by.")
-	m.correctSec = reg.Histogram("cluster_correct_seconds",
-		"Correction pass latency (rebuild, if any, plus incremental identify and fold).",
+	m.correction.Pass = reg.Histogram("cluster_correct_seconds",
+		"Correction pass latency (rebuild, if any, plus incremental identify, patch fold and triage).",
 		telemetry.DefBuckets)
-	m.mergedSites = reg.Gauge("cluster_merged_sites",
-		"Distinct allocation sites in the merged history.")
-	m.mergedRuns = reg.Gauge("cluster_merged_runs",
-		"Fleet-wide runs folded into the merged history.")
-	m.dirtyKeys = reg.Gauge("cluster_dirty_keys",
-		"Merged-history keys awaiting the next incremental identify pass.")
+	m.correction.Identify = reg.Histogram("cluster_identify_seconds",
+		"Incremental Bayesian identify latency per correction pass, in seconds.",
+		telemetry.DefBuckets)
+	// The store gauges read its atomics and shard locks, never c.mu.
+	reg.GaugeFunc("cluster_merged_sites",
+		"Distinct allocation sites in the coordinator's evidence store.",
+		func() float64 { return float64(c.store.Load().Sites()) })
+	reg.GaugeFunc("cluster_merged_runs",
+		"Fleet-wide runs folded into the coordinator's evidence store.",
+		func() float64 { return float64(c.store.Load().Runs()) })
+	reg.GaugeFunc("cluster_dirty_keys",
+		"Evidence-store keys awaiting the next incremental identify pass.",
+		func() float64 { return float64(c.store.Load().DirtyKeys()) })
 	m.partitions = reg.Gauge("cluster_partitions",
 		"Partitions currently in the poll set.")
 	reg.GaugeFunc("cluster_patch_version",
 		"Fleet-wide patch log version.",
 		func() float64 { return float64(c.log.Version()) })
 	telemetry.RegisterBuildInfo(reg)
-}
-
-// updateMergedGauges mirrors the merged-history state into the
-// exposition gauges. The caller holds c.mu; every path that mutates the
-// merged history or the poll set calls it before unlocking, so scrapes
-// read current values off atomics without ever touching c.mu.
-func (c *Coordinator) updateMergedGauges() {
-	c.metrics.mergedSites.Set(float64(c.merged.Sites()))
-	c.metrics.mergedRuns.Set(float64(c.merged.Runs))
-	c.metrics.dirtyKeys.Set(float64(c.merged.DirtyKeys()))
-	c.metrics.partitions.Set(float64(len(c.parts)))
 }
 
 // partition is the coordinator's view of one fleetd instance: a local
@@ -256,7 +246,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:           cfg,
 		ring:          NewRing(0, opts.Partitions...),
-		merged:        cumulative.NewHistory(cfg),
 		log:           fleet.NewPatchLog(),
 		start:         time.Now(),
 		token:         opts.Token,
@@ -266,6 +255,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		takeoverAfter: opts.TakeoverAfter,
 		wireV2:        opts.WireV2,
 	}
+	c.store.Store(fleet.NewStore(0, cfg))
 	c.epoch.Store(uint64(time.Now().UnixNano()))
 	c.primary.Store(!opts.Standby)
 	if c.holder == "" {
@@ -289,6 +279,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	c.triage.SetMetrics(c.reg)
 	c.logger = logger.With("component", "coordinator")
 	c.metrics.register(c.reg, c)
+	c.corrector = fleet.NewCorrector(c.passStore, c.log, c.triage, c.metrics.correction, c.logger)
 	if c.primary.Load() {
 		c.metrics.primaryG.Set(1)
 	}
@@ -303,7 +294,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	for _, base := range opts.Partitions {
 		c.parts = append(c.parts, c.newPartition(base))
 	}
-	c.updateMergedGauges()
+	c.metrics.partitions.Set(float64(len(c.parts)))
 	mux := http.NewServeMux()
 	// The client-facing surface is lease-gated: a standby answers 503
 	// until promoted. Topology and diagnostics (membership, status,
@@ -383,7 +374,7 @@ func (c *Coordinator) partitionsSnapshot() []*partition {
 
 // setPartitions resets the poll set to exactly nodes, keeping existing
 // partitions' mirrors and cursors where the base URL matches (new nodes
-// start empty and full-resync on their first poll). The merged history
+// start empty and full-resync on their first poll). The evidence store
 // is rebuilt from the surviving mirrors on the next correction pass.
 func (c *Coordinator) setPartitions(nodes []string) {
 	c.mu.Lock()
@@ -401,7 +392,7 @@ func (c *Coordinator) setPartitions(nodes []string) {
 		c.parts = append(c.parts, p)
 	}
 	c.rebuild = true
-	c.updateMergedGauges()
+	c.metrics.partitions.Set(float64(len(c.parts)))
 }
 
 // findPartition returns the partition for base, or nil.
@@ -502,7 +493,7 @@ func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) 
 		case len(d.Ops) > 0:
 			// Ordered delta: the window holds rebalance evictions. Apply
 			// each op to the mirror in sequence — an eviction removes the
-			// keys' entire evidence at that point. The merged history is
+			// keys' entire evidence at that point. The evidence store is
 			// rebuilt from the mirrors afterwards: the drained keys'
 			// evidence reappears through the new owner's journal, and
 			// rebuilding (instead of in-place extraction) keeps the merge
@@ -511,7 +502,6 @@ func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) 
 			for _, op := range d.Ops {
 				if len(op.Evict) > 0 {
 					res.p.mirror.Extract(op.Evict)
-					c.rebuild = true
 				}
 				if op.Snapshot != nil {
 					res.p.mirror.Absorb(op.Snapshot)
@@ -528,10 +518,10 @@ func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) 
 		case d.Snapshot != nil:
 			res.p.mirror.Absorb(d.Snapshot)
 			if !c.rebuild {
-				// Fast path: fold the delta straight into the merged
-				// history; only these keys become dirty for the next
-				// incremental identify pass.
-				c.merged.Absorb(d.Snapshot)
+				// Fast path: fold the delta straight into the store;
+				// only these keys become dirty for the next incremental
+				// identify pass.
+				c.store.Load().AbsorbSnapshot(d.Snapshot)
 			}
 			obs := fleet.SnapshotObservations(d.Snapshot)
 			c.metrics.deltas.Inc()
@@ -545,107 +535,53 @@ func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) 
 		res.p.seqGauge.Store(d.Seq)
 		res.p.lastPoll.Store(time.Now().UnixNano())
 	}
-	c.updateMergedGauges()
 	return changed, errors.Join(errs...)
 }
 
-// Correct runs one correction pass over the merged evidence and folds
-// newly derived patches into the fleet-wide log. After a partition
-// resync the merged history is rebuilt from the mirrors first (the rare
-// slow path); otherwise the pass rescores only dirty sites. The triage
-// pass that follows runs outside c.mu — a /metrics scrape or delta poll
-// never waits behind clustering.
-func (c *Coordinator) Correct() (uint64, bool) {
-	v, changed := c.correctLocked()
-	c.triagePass()
-	return v, changed
-}
+// Correct runs one correction pass (fleet.Corrector.Pass) over the
+// pooled evidence and returns the fleet-wide patch log version and
+// whether the pass changed it.
+func (c *Coordinator) Correct() (uint64, bool) { return c.corrector.Pass() }
 
-func (c *Coordinator) correctLocked() (uint64, bool) {
+// passStore is the pass's store source. When a mirror was replaced or
+// rebalanced since the last pass it first rebuilds the store from the
+// mirrors (the rare slow path): evidence is a multiset, so only a
+// rebuild keeps resyncs idempotent.
+func (c *Coordinator) passStore() *fleet.Store {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer c.updateMergedGauges()
-	c.corrections.Add(1)
-	c.metrics.corrections.Inc()
-	defer c.metrics.correctSec.ObserveSince(time.Now())
 	if c.rebuild {
-		merged := cumulative.NewHistory(c.cfg)
+		st := fleet.NewStore(0, c.cfg)
 		for _, p := range c.parts {
-			merged.Absorb(p.mirror.Snapshot())
+			st.AbsorbSnapshot(p.mirror.Snapshot())
 		}
-		c.merged = merged
+		c.store.Store(st)
 		c.rebuild = false
 		c.metrics.rebuilds.Inc()
 	}
-	findings := c.merged.Identify()
-	if findings.Empty() {
-		return c.log.Version(), false
-	}
-	v, changed := c.log.Fold(findings.Patches())
-	if changed {
-		c.logger.Info("correction pass folded fleet-wide patches",
-			"patchVersion", v, "patchEntries", c.log.Len())
-	}
-	return v, changed
-}
-
-// triagePass feeds the merged evidence's ranked candidates through the
-// triage engine. Candidates are harvested under c.mu (they are cheap
-// copies of cached per-key Bayes factors); the clustering pass itself
-// runs unlocked.
-func (c *Coordinator) triagePass() {
-	if c.triage == nil {
-		return
-	}
-	c.mu.Lock()
-	over := c.merged.OverflowCandidates()
-	dang := c.merged.DanglingCandidates()
-	threshold := c.merged.Threshold()
-	c.mu.Unlock()
-	patches, _ := c.log.Since(0)
-	c.triage.Pass(triage.PassInput{
-		Overflows: over,
-		Danglings: dang,
-		Patches:   patches,
-		Threshold: threshold,
-	})
+	return c.store.Load()
 }
 
 // Triage exposes the coordinator's triage engine (rankings, alert
 // delivery, snapshot persistence).
 func (c *Coordinator) Triage() *triage.Engine { return c.triage }
 
-// Run polls and corrects every interval (jittered ±10% so a fleet of
-// coordinators and replicas never phase-locks; see fleet.JitterInterval)
-// until ctx is done. A standby polls the same journals — mirrors warm,
-// cursors advancing — but defers correction and alert delivery to its
-// promotion: the patch log is a pure function of the mirrors, and
-// running the alerter on a standby would double-fire every webhook the
-// primary already sent. Each standby tick also probes the primary's
-// lease and promotes after TakeoverAfter consecutive failures.
+// Run drives the correction loop (fleet.Corrector.Run) with a delta poll
+// as its tick until ctx is done. A standby polls the same journals —
+// mirrors warm, cursors advancing — but defers correction and alert
+// delivery to its promotion: the patch log is a pure function of the
+// mirrors, and running the alerter on a standby would double-fire every
+// webhook the primary already sent. Each standby tick also probes the
+// primary's lease and promotes after TakeoverAfter consecutive failures.
 func (c *Coordinator) Run(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	t := time.NewTimer(fleet.JitterInterval(interval))
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			changed, _ := c.PollOnce(ctx)
-			if c.primary.Load() {
-				if changed {
-					c.Correct()
-				}
-				c.triage.DeliverAlerts(ctx)
-			} else {
-				c.probePrimary(ctx)
-			}
-			t.Reset(fleet.JitterInterval(interval))
+	c.corrector.Run(ctx, interval, func(ctx context.Context) (bool, bool) {
+		changed, _ := c.PollOnce(ctx)
+		if !c.primary.Load() {
+			c.probePrimary(ctx)
+			return false, false
 		}
-	}
+		return changed, true
+	})
 }
 
 // Sync is PollOnce + Correct, for callers that want to drive the loop
@@ -653,8 +589,7 @@ func (c *Coordinator) Run(ctx context.Context, interval time.Duration) {
 func (c *Coordinator) Sync(ctx context.Context) (uint64, error) {
 	changed, err := c.PollOnce(ctx)
 	if changed {
-		v, _ := c.Correct()
-		return v, err
+		c.Correct()
 	}
 	return c.log.Version(), err
 }
@@ -740,19 +675,20 @@ func (c *Coordinator) Status() *ClusterStatus {
 	build := version.String()
 	memberVersion, nodes := c.ring.Membership()
 	c.mu.Lock()
+	store := c.store.Load()
 	st := &ClusterStatus{
 		StatusReply: fleet.StatusReply{
 			Build:       build,
 			Version:     c.log.Version(),
-			Sites:       c.merged.Sites(),
-			Runs:        int64(c.merged.Runs),
-			FailedRuns:  int64(c.merged.FailedRuns),
-			CorruptRuns: int64(c.merged.CorruptRuns),
+			Sites:       store.Sites(),
+			Runs:        store.Runs(),
+			FailedRuns:  store.FailedRuns(),
+			CorruptRuns: store.CorruptRuns(),
 			Reports:     c.reports.Seen(),
 			PatchLen:    c.log.Len(),
 			UptimeSec:   int64(time.Since(c.start).Seconds()),
-			Corrections: c.corrections.Load(),
-			DirtyKeys:   c.merged.DirtyKeys(),
+			Corrections: c.corrector.Passes(),
+			DirtyKeys:   store.DirtyKeys(),
 		},
 		Polls:             c.polls.Load(),
 		Resyncs:           c.resyncs.Load(),

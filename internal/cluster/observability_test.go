@@ -227,8 +227,8 @@ func TestRebalanceMetrics(t *testing.T) {
 // the registry lock while gauge funcs took the coordinator lock, and
 // newPartition took the two in the opposite order — one scrape
 // concurrent with one add-node could hang the coordinator forever.)
-// It also pins the mirrored merged-history gauges: the values must be
-// current in the scrape without the exposition path touching c.mu.
+// It also pins the evidence-store gauges: the values must be current
+// in the scrape without the exposition path touching c.mu.
 func TestScrapeDuringMembershipChange(t *testing.T) {
 	ctx := context.Background()
 	cfg := cumulative.Config{C: 4, P: 0.5}

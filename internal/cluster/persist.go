@@ -15,10 +15,10 @@ import (
 
 // Coordinator snapshot persistence: the merge tier's state is exactly
 // its per-partition mirrors plus the journal cursor (seq, epoch) each
-// mirror is valid at — the merged history and the patch log are pure
+// mirror is valid at — the evidence store and the patch log are pure
 // functions of the mirrors, so persisting mirrors+cursors is enough to
 // restart a coordinator without re-pulling (or worse, double-absorbing)
-// every partition's full evidence. On restore the merged history is
+// every partition's full evidence. On restore the evidence store is
 // rebuilt from the mirrors and a correction pass re-derives the patch
 // log; polling then resumes from the persisted cursors, so partitions
 // that kept running answer with cheap deltas instead of full resyncs.
@@ -222,12 +222,12 @@ func readCoordSnapshot(r io.Reader) (*coordSnapshot, error) {
 }
 
 // LoadSnapshot restores mirrors and cursors from a snapshot written by
-// SaveSnapshot, rebuilds the merged history, and runs a correction pass
-// so the patch log is warm before the first client poll. Mirrors are
-// matched to the configured partitions by base URL: partitions added
-// since the snapshot start empty (their first poll full-resyncs), and
-// snapshot entries for partitions no longer configured are dropped. A
-// missing file is not an error (fresh start).
+// SaveSnapshot and runs a correction pass — which rebuilds the evidence
+// store from the restored mirrors — so the patch log is warm before the
+// first client poll. Mirrors are matched to the configured partitions by
+// base URL: partitions added since the snapshot start empty (their first
+// poll full-resyncs), and snapshot entries for partitions no longer
+// configured are dropped. A missing file is not an error (fresh start).
 func (c *Coordinator) LoadSnapshot(path string) error {
 	f, err := os.Open(path)
 	if err != nil {

@@ -244,7 +244,7 @@ func (c *Coordinator) runRebalance(ctx context.Context, plan *rebalPlan) (*Rebal
 			c.parts = append(c.parts, c.newPartition(node))
 		}
 	}
-	c.updateMergedGauges()
+	c.metrics.partitions.Set(float64(len(c.parts)))
 	c.mu.Unlock()
 
 	// Phase 0 — announce: every partition starts requiring the new
@@ -345,7 +345,7 @@ func (c *Coordinator) runRebalance(ctx context.Context, plan *rebalPlan) (*Rebal
 
 	// Commit membership: the coordinator's own ring adopts the new
 	// topology, removed partitions drop out of the poll set, and the
-	// merged history is rebuilt from the mirrors on the next pass.
+	// evidence store is rebuilt from the mirrors on the next pass.
 	commitStart := time.Now()
 	c.ring.SetMembership(plan.Version, plan.New)
 	c.mu.Lock()
@@ -357,7 +357,7 @@ func (c *Coordinator) runRebalance(ctx context.Context, plan *rebalPlan) (*Rebal
 	}
 	c.parts = kept
 	c.rebuild = true
-	c.updateMergedGauges()
+	c.metrics.partitions.Set(float64(len(c.parts)))
 	c.mu.Unlock()
 
 	// Fold the moves into the mirrors while the poll freeze still holds,

@@ -3,7 +3,7 @@
 // N independent fleetd instances, a router splits every observation
 // batch along the ring, and a coordinator/merge tier mirrors each
 // partition's evidence journal (GET /v1/deltas), reruns the Bayesian
-// hypothesis test incrementally over the merged pool, and publishes a
+// hypothesis test incrementally over the pooled evidence, and publishes a
 // fleet-wide versioned patch log that unmodified fleet.Client consumers
 // poll exactly as they would a single fleetd. Sink is the engine sink
 // for both: a single fleetd is a one-node ring.

@@ -215,7 +215,7 @@ func TestRunCountersSingleCountAcrossShiftedOwner(t *testing.T) {
 }
 
 // TestCoordinatorSnapshotRestart: a coordinator restored from its
-// snapshot carries its merged history and journal cursors across the
+// snapshot carries its mirrors and journal cursors across the
 // restart — totals and patches identical before any poll, no
 // double-count and no forced resync after polling resumes, and new
 // evidence keeps flowing incrementally.

@@ -498,25 +498,23 @@ type Candidate struct {
 	YRate float64 // fraction of observations with Y=1
 }
 
-// OverflowCandidates returns all tracked allocation sites ranked by Bayes
-// factor, descending.
+// OverflowCandidates returns every tracked allocation site with its
+// Bayes factor, in no particular order.
 func (hist *History) OverflowCandidates() []Candidate {
-	var out []Candidate
+	out := make([]Candidate, 0, len(hist.overflow))
 	for s, obs := range hist.overflow {
 		out = append(out, Candidate{Site: s, Bayes: hist.overflowFactor(s, obs), Obs: len(obs), YRate: yRate(obs)})
 	}
-	sortCandidates(out)
 	return out
 }
 
-// DanglingCandidates returns all tracked site pairs ranked by Bayes
-// factor, descending.
+// DanglingCandidates returns every tracked site pair with its Bayes
+// factor, in no particular order.
 func (hist *History) DanglingCandidates() []Candidate {
-	var out []Candidate
+	out := make([]Candidate, 0, len(hist.dangling))
 	for p, obs := range hist.dangling {
 		out = append(out, Candidate{Pair: p, Bayes: hist.danglingFactor(p, obs), Obs: len(obs), YRate: yRate(obs)})
 	}
-	sortCandidates(out)
 	return out
 }
 
@@ -531,10 +529,6 @@ func yRate(obs []Observation) float64 {
 		}
 	}
 	return float64(y) / float64(len(obs))
-}
-
-func sortCandidates(cs []Candidate) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Bayes > cs[j].Bayes })
 }
 
 // Threshold returns the decision threshold cN−1 for the current N.

@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,13 +60,6 @@ type ServerOptions struct {
 	// Coordinators that fall further behind than the window receive a
 	// full resync.
 	JournalLen int
-	// CorrectWorkers is the correction pool width: how many evidence
-	// shards an Identify pass rescores concurrently. 0 sizes the pool
-	// elastically — min(GOMAXPROCS, Shards) — so many-core hosts use
-	// their cores without the operator re-deriving the number from the
-	// replica count; 1 (or negative) keeps passes serial. Findings are
-	// merged in shard order, so the pool width never changes results.
-	CorrectWorkers int
 	// DisableCorrection turns Correct into a no-op (cluster partition
 	// mode): the server stores and journals evidence but never derives
 	// patches. A partition holds only its ring slice of the sites, so
@@ -103,16 +95,15 @@ type ServerOptions struct {
 // Server is the fleet aggregation service: sharded evidence store,
 // versioned patch log, correction loop, and the HTTP API over them.
 type Server struct {
-	store  *Store
-	log    *PatchLog
-	triage *triage.Engine // nil in partition mode
+	store     *Store
+	log       *PatchLog
+	triage    *triage.Engine // nil in partition mode
+	corrector *Corrector
 
 	correctEvery int
 	noCorrect    bool
 	maxBody      int64
 	pending      atomic.Int64 // batches since the last correction pass
-	correctMu    sync.Mutex   // serializes correction passes
-	corrections  atomic.Int64
 
 	token   string
 	limiter *rateLimiter
@@ -168,10 +159,8 @@ type serverMetrics struct {
 	rateLimited  *telemetry.Counter
 	unauthorized *telemetry.Counter
 	evictions    *telemetry.Counter
-	corrections  *telemetry.Counter
 	ingestSec    *telemetry.Histogram
-	identifySec  *telemetry.Histogram
-	correctSec   *telemetry.Histogram
+	correction   CorrectorMetrics
 }
 
 // register instruments the server into reg: the ingest counter set, the
@@ -200,14 +189,14 @@ func (m *serverMetrics) register(reg *telemetry.Registry, s *Server) {
 		"Write requests rejected with 401 (missing or invalid ingest token).")
 	m.evictions = reg.Counter("fleet_evictions_total",
 		"Rebalance drains served via POST /v1/evict (cache hits included).")
-	m.corrections = reg.Counter("fleet_corrections_total",
+	m.correction.Passes = reg.Counter("fleet_corrections_total",
 		"Completed correction passes.")
 	m.ingestSec = reg.Histogram("fleet_ingest_seconds",
 		"POST /v1/observations handling latency in seconds.", nil)
-	m.identifySec = reg.Histogram("fleet_identify_seconds",
+	m.correction.Identify = reg.Histogram("fleet_identify_seconds",
 		"Incremental Bayesian identify latency per correction pass, in seconds.", nil)
-	m.correctSec = reg.Histogram("fleet_correct_seconds",
-		"Whole correction-pass latency (identify + patch fold), in seconds.", nil)
+	m.correction.Pass = reg.Histogram("fleet_correct_seconds",
+		"Whole correction-pass latency (identify, patch fold and triage), in seconds.", nil)
 	reg.GaugeFunc("fleet_dirty_keys",
 		"Evidence keys the next correction pass must rescore (recompute backlog).",
 		func() float64 { return float64(s.store.DirtyKeys()) })
@@ -261,12 +250,6 @@ func NewServer(opts ServerOptions) *Server {
 	if s.maxBody <= 0 {
 		s.maxBody = 16 << 20
 	}
-	switch {
-	case opts.CorrectWorkers == 0:
-		s.store.SetIdentifyWorkers(min(runtime.GOMAXPROCS(0), s.store.NumShards()))
-	case opts.CorrectWorkers > 1:
-		s.store.SetIdentifyWorkers(opts.CorrectWorkers)
-	}
 	if s.reg == nil {
 		s.reg = telemetry.NewRegistry()
 	}
@@ -282,6 +265,7 @@ func NewServer(opts ServerOptions) *Server {
 	}
 	s.logger = s.logger.With("component", "fleet")
 	s.metrics.register(s.reg, s)
+	s.corrector = NewCorrector(func() *Store { return s.store }, s.log, s.triage, s.metrics.correction, s.logger)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/observations", s.handleObservations)
 	mux.HandleFunc("/v1/reports", s.handleReports)
@@ -316,12 +300,9 @@ func (s *Server) Store() *Store { return s.store }
 // PatchLog exposes the versioned patch log.
 func (s *Server) PatchLog() *PatchLog { return s.log }
 
-// Correct runs one correction pass: rerun the Bayesian test over the
-// sharded store and fold any derived patches into the versioned log. It
-// returns the current version and whether it changed. Passes are
-// incremental — only sites whose evidence changed since the previous
-// pass are rescored (Store.Identify) — and serialize; ingest is never
-// blocked by a running pass.
+// Correct runs one correction pass over the sharded store (see
+// Corrector.Pass) and returns the patch log version and whether the pass
+// changed it. In partition mode it is a no-op.
 func (s *Server) Correct() (uint64, bool) {
 	if s.noCorrect {
 		// Partition mode: every derivation path — inline, background
@@ -329,76 +310,21 @@ func (s *Server) Correct() (uint64, bool) {
 		// no caller can accidentally publish partition-local patches.
 		return s.log.Version(), false
 	}
-	s.correctMu.Lock()
-	defer s.correctMu.Unlock()
-	start := time.Now()
-	defer s.metrics.correctSec.ObserveSince(start)
 	s.pending.Store(0)
-	s.corrections.Add(1)
-	s.metrics.corrections.Inc()
-	identifyStart := time.Now()
-	//extlint:ignore lockio correctMu exists to serialize whole correction passes; the elastic identify pool's WaitGroup joins CPU-bound stripe scorers, not IO, and the serial pass held the lock for the same work
-	findings := s.store.Identify()
-	s.metrics.identifySec.ObserveSince(identifyStart)
-	changed := false
-	if findings.Empty() {
-		s.logger.Debug("correction pass: no findings",
-			"version", s.log.Version(), "durationSec", time.Since(start).Seconds())
-	} else {
-		var v uint64
-		if v, changed = s.log.Fold(findings.Patches()); changed {
-			s.logger.Info("correction pass derived patches",
-				"version", v, "patchEntries", s.log.Len(), "durationSec", time.Since(start).Seconds())
-		}
-	}
-	// Triage rides the correction pass: cluster the rescored candidates
-	// against the patch log the pass just folded. Still under correctMu,
-	// so passes (and their lifecycle transitions) stay serialized.
-	s.triagePass()
-	return s.log.Version(), changed
-}
-
-// triagePass folds the store's current per-site candidates into the
-// triage engine. No-op in partition mode.
-func (s *Server) triagePass() {
-	if s.triage == nil {
-		return
-	}
-	over, dang := s.store.TriageCandidates()
-	ps, _ := s.log.Since(0)
-	s.triage.Pass(triage.PassInput{
-		Overflows: over,
-		Danglings: dang,
-		Patches:   ps,
-		Threshold: s.store.Threshold(),
-	})
+	return s.corrector.Pass()
 }
 
 // Triage exposes the triage engine (nil in partition mode).
 func (s *Server) Triage() *triage.Engine { return s.triage }
 
-// RunCorrectionLoop reruns Correct every interval until ctx is done — the
-// background half of "rerun the test as evidence arrives". It only pays
-// for a pass when new batches actually arrived since the last one.
+// RunCorrectionLoop runs the correction loop (Corrector.Run) every
+// interval until ctx is done — the background half of "rerun the test as
+// evidence arrives". It only pays for a pass when new batches arrived
+// since the last one.
 func (s *Server) RunCorrectionLoop(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if s.pending.Load() > 0 {
-				s.Correct()
-			}
-			// Alert delivery is decoupled from passes: due retries
-			// drain every tick even when no new evidence arrived.
-			s.triage.DeliverAlerts(ctx)
-		}
-	}
+	s.corrector.Run(ctx, interval, func(context.Context) (bool, bool) {
+		return s.pending.Swap(0) > 0, !s.noCorrect
+	})
 }
 
 // BearerAuthorized reports whether the request carries `Authorization:
@@ -862,7 +788,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Reports:     s.reports.Seen(),
 		PatchLen:    s.log.Len(),
 		UptimeSec:   int64(time.Since(s.start).Seconds()),
-		Corrections: s.corrections.Load(),
+		Corrections: s.corrector.Passes(),
 		RateLimited: s.limited.Load(),
 		DirtyKeys:   s.store.DirtyKeys(),
 		Deduped:     s.deduped.Load(),
@@ -1106,7 +1032,7 @@ func (s *Server) LoadSnapshot(path string) error {
 	// reconstruct the store from deltas — invalidate them all, forcing
 	// pollers onto the full-resync path.
 	s.deltaMu.Lock()
-	s.store.AbsorbHistory(st.hist)
+	s.store.AbsorbSnapshot(st.hist.Snapshot())
 	s.journal.invalidate()
 	s.deltaMu.Unlock()
 	s.Correct()

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,10 +27,6 @@ type Store struct {
 	failedRuns  atomic.Int64
 	corruptRuns atomic.Int64
 	batches     atomic.Int64
-
-	// identifyWorkers is the correction pool width: shards scored
-	// concurrently per Identify pass. 1 = serial (the default).
-	identifyWorkers atomic.Int64
 
 	clientMu sync.Mutex
 	clients  map[string]bool
@@ -186,15 +184,6 @@ func (st *Store) Extract(keys []site.ID) *cumulative.Snapshot {
 	return tmp.Snapshot()
 }
 
-// AbsorbHistory folds a whole history into the store (snapshot restore and
-// in-process aggregation paths).
-func (st *Store) AbsorbHistory(h *cumulative.History) {
-	if h == nil {
-		return
-	}
-	st.AbsorbSnapshot(h.Snapshot())
-}
-
 // maxClients bounds the distinct-installation statistic: IDs are
 // client-chosen, so an unbounded set would let one misbehaving client
 // grow server memory without limit.
@@ -249,32 +238,19 @@ func (st *Store) Combined() *cumulative.History {
 // caches Bayes factors and rescores only keys whose evidence changed
 // since the last pass — which is what keeps correction O(dirty sites),
 // not O(all sites), as the fleet grows.
+//
+// Shards are scored by an elastic pool of min(GOMAXPROCS, shards)
+// goroutines, each holding exactly one shard lock at a time (no nesting,
+// so no ordering constraint between shard locks). Per-shard results land
+// in indexed slots and merge in shard order, so the pool width never
+// changes the findings.
 func (st *Store) Identify() *cumulative.Findings {
 	n := st.Sites()
 	f := &cumulative.Findings{}
 	if n == 0 {
 		return f
 	}
-	workers := int(st.identifyWorkers.Load())
-	if workers <= 1 || len(st.shards) == 1 {
-		for i := range st.shards {
-			sh := &st.shards[i]
-			sh.mu.Lock()
-			sf := sh.hist.IdentifyWithSites(n)
-			sh.mu.Unlock()
-			f.Overflows = append(f.Overflows, sf.Overflows...)
-			f.Danglings = append(f.Danglings, sf.Danglings...)
-		}
-		return f
-	}
-	// Elastic pool: score up to `workers` shards concurrently, each
-	// goroutine holding exactly one shard lock at a time (no nesting, so
-	// no ordering constraint between shard locks). Per-shard results land
-	// in indexed slots and merge in shard order, keeping findings
-	// deterministic regardless of which shard finishes first.
-	if workers > len(st.shards) {
-		workers = len(st.shards)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(st.shards))
 	results := make([]*cumulative.Findings, len(st.shards))
 	next := atomic.Int64{}
 	var wg sync.WaitGroup
@@ -302,29 +278,20 @@ func (st *Store) Identify() *cumulative.Findings {
 	return f
 }
 
-// SetIdentifyWorkers sets the correction pool width: how many shards an
-// Identify pass scores concurrently. n <= 1 keeps passes serial; n is
-// clamped to the shard count at use. Safe to change at runtime.
-func (st *Store) SetIdentifyWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	st.identifyWorkers.Store(int64(n))
-}
-
-// TriageCandidates collects every shard's ranked per-site candidates
-// for a triage pass. Keys stripe deterministically across shards, so
-// concatenation is exactly the unsharded candidate set; the triage
-// engine re-sorts internally, so cross-shard order does not matter.
+// TriageCandidates collects every shard's per-site candidates for a
+// triage pass, unordered. Keys stripe deterministically across shards,
+// so concatenation is exactly the unsharded candidate set; the triage
+// engine sorts members in key order, so input order does not matter.
 func (st *Store) TriageCandidates() (over, dang []cumulative.Candidate) {
+	overs := make([][]cumulative.Candidate, len(st.shards))
+	dangs := make([][]cumulative.Candidate, len(st.shards))
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		over = append(over, sh.hist.OverflowCandidates()...)
-		dang = append(dang, sh.hist.DanglingCandidates()...)
+		overs[i], dangs[i] = sh.hist.OverflowCandidates(), sh.hist.DanglingCandidates()
 		sh.mu.Unlock()
 	}
-	return over, dang
+	return slices.Concat(overs...), slices.Concat(dangs...)
 }
 
 // Threshold returns the store-wide identification threshold cN−1, with

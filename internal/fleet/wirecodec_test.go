@@ -8,10 +8,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet/codec"
+	"exterminator/internal/patch"
 	"exterminator/internal/site"
 	"exterminator/internal/telemetry"
 )
@@ -498,23 +500,26 @@ func TestDeltasNegotiation(t *testing.T) {
 
 // TestElasticIdentifyEquivalence: the parallel correction pool must
 // derive exactly the serial pass's findings, whatever the worker count.
+// The pool is min(GOMAXPROCS, shards) wide, so the worker count is
+// varied through GOMAXPROCS.
 func TestElasticIdentifyEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	batches := testBatches(32)
-	build := func(workers int) *Store {
+	identify := func(workers int) *patch.Set {
+		runtime.GOMAXPROCS(workers)
 		st := NewStore(8, cumulative.DefaultConfig())
-		st.SetIdentifyWorkers(workers)
 		for _, b := range batches {
 			st.AbsorbSnapshot(b)
 		}
-		return st
+		return st.Identify().Patches()
 	}
 
-	want := build(1).Identify().Patches()
+	want := identify(1)
 	if want.Len() == 0 {
 		t.Fatal("serial pass derived no patches; evidence too weak")
 	}
 	for _, workers := range []int{2, 4, 8, 32} {
-		got := build(workers).Identify().Patches()
+		got := identify(workers)
 		if !got.Equal(want) {
 			t.Fatalf("workers=%d diverged:\n got  %s\n want %s", workers, got, want)
 		}
